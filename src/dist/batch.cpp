@@ -3,8 +3,8 @@
 #include <cmath>
 #include <functional>
 
+#include "dist/harness.hpp"
 #include "kernels/kernels.hpp"
-#include "simmpi/delivery.hpp"
 #include "util/error.hpp"
 #include "util/stopwatch.hpp"
 #include "wire/wire.hpp"
@@ -103,9 +103,6 @@ BatchRunResult run_distributed_batch(DistMethod method,
   if (specs.size() == 1) return run_single(method, *layouts[0], specs[0], opt);
 
   const std::size_t batch = specs.size();
-  const auto layout_of = [&](std::size_t t) -> const DistLayout& {
-    return layouts.size() == 1 ? *layouts[0] : *layouts[t];
-  };
   const DistLayout& layout = *layouts[0];
   const int num_ranks = layout.num_ranks();
   // Observer policies defined on a single trajectory do not lift to a
@@ -116,84 +113,16 @@ BatchRunResult run_distributed_batch(DistMethod method,
   DSOUTH_CHECK_MSG(opt.divergence_abort == 0.0,
                    "divergence_abort is not supported for batched runs");
 
-  // --- Runtime and attachments: mirrors run_distributed exactly so every
-  // feature (async delivery, node topology, tracing, profiling, faults)
-  // composes with batching the way it composes with a solo run.
-  simmpi::Runtime rt(num_ranks, opt.machine, opt.delivery);
-  std::unique_ptr<simmpi::EventDrivenPolicy> async_policy;
-  if (opt.async) {
-    simmpi::EventDrivenOptions eo;
-    eo.seed = opt.async_seed;
-    eo.min_latency_epochs = opt.async_min_latency;
-    eo.max_latency_epochs = opt.async_max_latency;
-    eo.max_staleness = opt.max_staleness;
-    async_policy = std::make_unique<simmpi::EventDrivenPolicy>(eo);
-    rt.set_delivery_policy(async_policy.get());
-  }
-  std::optional<simmpi::NodeTopology> run_topo;
-  const simmpi::NodeTopology* topo = layout.node_topology();
-  if (!opt.node_map.empty()) {
-    run_topo.emplace(simmpi::NodeTopology::explicit_map(opt.node_map));
-    topo = &*run_topo;
-  } else if (opt.ranks_per_node > 0) {
-    run_topo.emplace(simmpi::NodeTopology::ranks_per_node(
-        num_ranks, opt.ranks_per_node));
-    topo = &*run_topo;
-  } else if (opt.num_nodes > 0) {
-    run_topo.emplace(simmpi::NodeTopology::ranks_per_node(
-        num_ranks, (num_ranks + opt.num_nodes - 1) / opt.num_nodes));
-    topo = &*run_topo;
-  }
-  if (topo) {
-    simmpi::NodeRoutingOptions nro;
-    nro.route_via_leaders = opt.node_route;
-    if (opt.node_route) {
-      nro.pair_channel_counts =
-          wire::NodeCommPlan(layout.comm_plan(), *topo).pair_channel_counts();
-    }
-    rt.set_node_topology(topo, std::move(nro));
-  }
-  std::unique_ptr<trace::Tracer> tracer;
-  if (opt.trace.enabled) {
-    tracer = std::make_unique<trace::Tracer>(num_ranks, opt.trace);
-    rt.set_tracer(tracer.get());
-  }
-  if (opt.profiler) rt.set_profiler(opt.profiler);
-  std::unique_ptr<faults::FaultSchedule> fault_schedule;
-  if (opt.faults.any()) {
-    fault_schedule =
-        std::make_unique<faults::FaultSchedule>(opt.faults, num_ranks);
-    rt.set_fault_schedule(fault_schedule.get());
-  }
-  rt.set_num_tenants(batch);
-
-  auto backend = simmpi::make_backend(opt.backend, opt.num_threads);
-  // MetricsRegistry registration is idempotent by name, so B solver
-  // constructors share one set of metric slots.
-  std::vector<std::unique_ptr<DistStationarySolver>> solvers;
-  solvers.reserve(batch);
-  for (std::size_t t = 0; t < batch; ++t) {
-    solvers.push_back(make_dist_solver(method, layout_of(t), rt, specs[t].b,
-                                       specs[t].x0, opt));
-    solvers.back()->set_backend(*backend);
-    // Batch staging subsumes opt.coalesce_messages: ship_batch IS the
-    // per-peer merge (one tenant frame per (peer, tag)), so the
-    // coalescing flag is intentionally not forwarded.
-    solvers.back()->set_batch_staging(true);
-  }
-  ResilienceOptions resilience = opt.resilience;
-  if (opt.async) resilience.enabled = true;
-  if (resilience.enabled) {
-    for (auto& s : solvers) s->set_resilience(resilience);
-  }
+  // --- Runtime, attachments and solvers: the same RunHarness every
+  // driver builds, so every feature (async delivery, node topology,
+  // tracing, profiling, faults) composes with batching the way it composes
+  // with a solo run.
+  RunHarness h(method, layouts, specs, opt);
+  simmpi::Runtime& rt = h.runtime();
 
   BatchRunResult result;
-  result.method = method_name(method);
-  result.num_ranks = num_ranks;
-  result.n = layout.global_rows();
+  h.init_result(result);
   result.batch = batch;
-  result.backend = backend->name();
-  result.num_threads = backend->num_threads();
   result.tenants.resize(batch);
 
   // --- Shared-epoch scheduling state. All per-rank phase scratch is
@@ -212,7 +141,7 @@ BatchRunResult run_distributed_batch(DistMethod method,
           simmpi::Runtime* rt;
           const std::function<void(simmpi::RankContext&, int)>* fn;
         } call{&rt, &fn};
-        backend->run_epoch(num_ranks, [&call](int p) {
+        h.backend().run_epoch(num_ranks, [&call](int p) {
           simmpi::RankContext ctx(*call.rt, p);
           (*call.fn)(ctx, p);
         });
@@ -230,13 +159,13 @@ BatchRunResult run_distributed_batch(DistMethod method,
     for (const auto& msg : ctx.window()) {
       const int nbi = rd.neighbor_index(msg.source);
       DSOUTH_CHECK_MSG(nbi >= 0, "message from non-neighbor " << msg.source);
-      if (fault_schedule) {
+      if (h.fault_schedule()) {
         try {
           wire::for_each_tenant(
               msg.payload, [&](const wire::TenantEntry& e) {
                 DSOUTH_CHECK(e.tenant >= 0 &&
                              static_cast<std::size_t>(e.tenant) < batch);
-                solvers[static_cast<std::size_t>(e.tenant)]->absorb_payload(
+                h.solver(e.tenant).absorb_payload(
                     ctx, p, static_cast<std::size_t>(nbi), e.body);
               });
         } catch (const wire::DecodeError&) {
@@ -246,14 +175,14 @@ BatchRunResult run_distributed_batch(DistMethod method,
         wire::for_each_tenant(msg.payload, [&](const wire::TenantEntry& e) {
           DSOUTH_CHECK(e.tenant >= 0 &&
                        static_cast<std::size_t>(e.tenant) < batch);
-          solvers[static_cast<std::size_t>(e.tenant)]->absorb_payload(
+          h.solver(e.tenant).absorb_payload(
               ctx, p, static_cast<std::size_t>(nbi), e.body);
         });
       }
     }
     // One absorb event per rank for the shared window — frames are shared
     // wire, not any single tenant's traffic.
-    solvers.front()->trace_absorb(ctx);
+    h.solver().trace_absorb(ctx);
     ctx.consume();
   };
 
@@ -270,7 +199,7 @@ BatchRunResult run_distributed_batch(DistMethod method,
       if (rows == 0) continue;
       soa.resize(rows * batch);
       for (std::size_t t = 0; t < batch; ++t) {
-        const auto rp = solvers[t]->local_r(p);
+        const auto rp = h.solver(t).local_r(p);
         for (std::size_t i = 0; i < rows; ++i) soa[i * batch + t] = rp[i];
       }
       std::fill(rank_acc.begin(), rank_acc.end(), value_t{0});
@@ -304,7 +233,7 @@ BatchRunResult run_distributed_batch(DistMethod method,
     for (int t : active_ids) {
       for (int p = 0; p < num_ranks; ++p) {
         rank_sets[static_cast<std::size_t>(p)].push_back(
-            &solvers[static_cast<std::size_t>(t)]->channel(p));
+            &h.solver(t).channel(p));
       }
     }
 
@@ -312,30 +241,22 @@ BatchRunResult run_distributed_batch(DistMethod method,
     {
       const prof::ScopedPhase prof_step(opt.profiler, num_ranks,
                                         prof::PhaseId::kStep);
-      for (int t : active_ids) {
-        solvers[static_cast<std::size_t>(t)]->begin_step();
-      }
+      for (int t : active_ids) h.solver(t).begin_step();
       if (rt.async_delivery()) {
         // Event-driven: one fused shared epoch — demux whatever matured,
         // every scheduled tenant's relax-on-arrival send, ship, fence.
         run_rank_phase([&](simmpi::RankContext& ctx, int p) {
           demux_absorb(ctx, p);
-          for (int t : active_ids) {
-            solvers[static_cast<std::size_t>(t)]->rank_async_send(ctx, p);
-          }
+          for (int t : active_ids) h.solver(t).rank_async_send(ctx, p);
           wire::ChannelSet::ship_batch(
               ctx, rank_sets[static_cast<std::size_t>(p)], active_ids);
         });
         rt.fence();
       } else {
-        const int epochs =
-            solvers[static_cast<std::size_t>(active_ids.front())]
-                ->step_epochs();
+        const int epochs = h.solver(active_ids.front()).step_epochs();
         for (int e = 0; e < epochs; ++e) {
           run_rank_phase([&](simmpi::RankContext& ctx, int p) {
-            for (int t : active_ids) {
-              solvers[static_cast<std::size_t>(t)]->rank_send(e, ctx, p);
-            }
+            for (int t : active_ids) h.solver(t).rank_send(e, ctx, p);
             wire::ChannelSet::ship_batch(
                 ctx, rank_sets[static_cast<std::size_t>(p)], active_ids);
           });
@@ -351,7 +272,7 @@ BatchRunResult run_distributed_batch(DistMethod method,
     compute_norms();
     for (int t : active_ids) {
       const auto ut = static_cast<std::size_t>(t);
-      const DistStepStats st = solvers[ut]->merge_rank_stats();
+      const DistStepStats st = h.solver(ut).merge_rank_stats();
       result.tenants[ut].relaxations +=
           static_cast<std::uint64_t>(st.relaxations);
       result.tenants[ut].residual_norm.push_back(rn[ut]);
@@ -374,48 +295,15 @@ BatchRunResult run_distributed_batch(DistMethod method,
 
   for (std::size_t t = 0; t < batch; ++t) {
     result.tenants[t].final_residual = rn[t];
-    result.tenants[t].final_x = solvers[t]->gather_x();
+    result.tenants[t].final_x = h.solver(t).gather_x();
     result.tenants[t].wire_records = rt.stats().tenant_records(t);
     result.tenants[t].wire_doubles = rt.stats().tenant_doubles(t);
   }
   for (std::uint64_t r : rejected_per_rank) result.frames_rejected += r;
   result.model_time = rt.model_time_seconds();
   result.epochs = rt.epochs_completed();
-  const simmpi::CommStats& cs = rt.stats();
-  result.comm_totals.msgs = cs.total_messages();
-  result.comm_totals.bytes = cs.total_bytes();
-  result.comm_totals.msgs_solve = cs.total_messages(simmpi::MsgTag::kSolve);
-  result.comm_totals.msgs_residual =
-      cs.total_messages(simmpi::MsgTag::kResidual);
-  result.comm_totals.msgs_other = cs.total_messages(simmpi::MsgTag::kOther);
-  result.comm_totals.msgs_logical = cs.logical_messages();
-  result.comm_totals.msgs_logical_solve =
-      cs.logical_messages(simmpi::MsgTag::kSolve);
-  result.comm_totals.msgs_logical_residual =
-      cs.logical_messages(simmpi::MsgTag::kResidual);
-
-  if (opt.profiler && tracer) {
-    auto& m = tracer->metrics();
-    const auto id_track =
-        m.register_metric("prof.alloc_tracking", trace::MetricKind::kGauge);
-    const auto id_allocs =
-        m.register_metric("prof.allocs_total", trace::MetricKind::kGauge);
-    const auto id_bytes =
-        m.register_metric("prof.allocs_bytes", trace::MetricKind::kGauge);
-    const auto id_frees =
-        m.register_metric("prof.frees_total", trace::MetricKind::kGauge);
-    m.set(id_track, 0, opt.profiler->alloc_tracking() ? 1.0 : 0.0);
-    m.set(id_allocs, 0, static_cast<double>(opt.profiler->allocs_total()));
-    m.set(id_bytes, 0, static_cast<double>(opt.profiler->allocs_bytes()));
-    m.set(id_frees, 0, static_cast<double>(opt.profiler->frees_total()));
-  }
-  if (opt.profiler) rt.set_profiler(nullptr);
-  if (tracer) {
-    tracer->flush();
-    result.trace_log =
-        std::make_shared<const trace::TraceLog>(tracer->take_log());
-    rt.set_tracer(nullptr);
-  }
+  result.comm_totals = h.comm_totals();
+  result.trace_log = h.finish();
   return result;
 }
 

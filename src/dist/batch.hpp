@@ -35,6 +35,11 @@
 /// per-tenant trajectories are bit-identical to B solo runs under the
 /// default bulk-synchronous configuration (tests/test_batch.cpp).
 ///
+/// Assembly: the runtime, its attachments (delivery policy, node topology,
+/// tracer, profiler, fault schedule) and the B solvers come from
+/// dist::RunHarness (harness.hpp), the same stack every driver builds; so
+/// do the CommStats totals and the trace/profiler teardown.
+///
 /// Convergence and dropout: tenants converge at different steps. A tenant
 /// whose residual reaches its target stops scheduling (no begin_step, no
 /// sends — it drops out of the frames) but keeps absorbing anything still

@@ -6,10 +6,8 @@
 #include "dist/harness.hpp"
 #include "dist/multicolor_block_gs.hpp"
 #include "dist/parallel_southwell.hpp"
-#include "simmpi/delivery.hpp"
 #include "util/error.hpp"
 #include "util/interp.hpp"
-#include "util/stopwatch.hpp"
 
 namespace dsouth::dist {
 
@@ -111,63 +109,21 @@ DistRunResult run_distributed(DistMethod method, const DistLayout& layout,
                               std::span<const value_t> b,
                               std::span<const value_t> x0,
                               const DistRunOptions& opt) {
-  // All construction and attachment lives in RunHarness (harness.hpp) so
-  // the elastic driver assembles the identical stack; this function keeps
-  // only the stepping loop and its observer-side stop rules.
+  // All construction, attachment, stepping and stop rules live in
+  // RunHarness (harness.hpp), shared with the batched and elastic drivers.
   RunHarness h(method, layout, b, x0, opt);
-  DistStationarySolver* solver = &h.solver();
-
   DistRunResult result;
   h.init_result(result);
   h.record_state(result);
-
-  index_t total_relax = 0;
-  const double r0 = result.residual_norm.front();
-  double best_rn = r0;
-  index_t steps_since_best = 0;
+  StopRules stop(opt, result.residual_norm.front());
   if (opt.profiler) opt.profiler->begin_alloc_window();
   for (index_t k = 0; k < opt.max_parallel_steps; ++k) {
-    // Time the parallel steps only — the observer-side recording below is
-    // backend-independent bookkeeping.
-    util::Stopwatch wall;
-    const DistStepStats stats = [&] {
-      const prof::ScopedPhase prof_step(opt.profiler, layout.num_ranks(),
-                                        prof::PhaseId::kStep);
-      return solver->step();
-    }();
-    result.wall_seconds += wall.seconds();
-    total_relax += stats.relaxations;
-    result.active_ranks.push_back(stats.active_ranks);
-    h.record_state(result);
-    result.relaxations.back() = static_cast<double>(total_relax);
-    const double rn = result.residual_norm.back();
-    if (opt.stop_at_residual > 0.0 && rn <= opt.stop_at_residual) break;
-    if (opt.divergence_abort > 0.0 && rn >= opt.divergence_abort) break;
-    if (opt.watchdog.enabled) {
-      // Observer-side divergence watchdog: a faulted run stops with a
-      // report instead of hanging or overflowing.
-      if (!std::isfinite(rn)) {
-        result.watchdog = {true, "non-finite residual", k + 1};
-        break;
-      }
-      if (rn > opt.watchdog.growth_factor * r0) {
-        result.watchdog = {true, "residual exceeded growth_factor x initial",
-                           k + 1};
-        break;
-      }
-      if (rn < best_rn) {
-        best_rn = rn;
-        steps_since_best = 0;
-      } else if (opt.watchdog.stall_steps > 0 &&
-                 ++steps_since_best >= opt.watchdog.stall_steps) {
-        result.watchdog = {true, "residual stalled", k + 1};
-        break;
-      }
-    }
+    h.step(result);
+    if (stop.stop(result)) break;
   }
   h.drain_if_async();
   if (opt.profiler) opt.profiler->end_alloc_window();
-  result.final_x = solver->gather_x();
+  result.final_x = h.solver().gather_x();
   h.fill_totals(result);
   h.finish(result);
   return result;

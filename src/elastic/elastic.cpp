@@ -1,7 +1,5 @@
 #include "elastic/elastic.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <memory>
 #include <utility>
 
@@ -9,7 +7,6 @@
 #include "elastic/checkpoint.hpp"
 #include "graph/graph.hpp"
 #include "util/error.hpp"
-#include "util/stopwatch.hpp"
 
 namespace dsouth::elastic {
 
@@ -109,25 +106,12 @@ ElasticRunResult run_elastic(dist::DistMethod method, const CsrMatrix& a,
   std::vector<index_t> dead_parts;
   std::vector<value_t> x_restored;
 
-  index_t total_relax = 0;
-  const double r0 = result.residual_norm.front();
-  double best_rn = r0;
-  index_t steps_since_best = 0;
+  dist::StopRules stop(opt, result.residual_norm.front());
   if (opt.profiler) opt.profiler->begin_alloc_window();
   index_t k = 0;  // surviving parallel steps recorded so far
   while (k < opt.max_parallel_steps) {
-    util::Stopwatch wall;
-    const dist::DistStepStats stats = [&] {
-      const prof::ScopedPhase prof_step(opt.profiler, num_ranks,
-                                        prof::PhaseId::kStep);
-      return h->solver().step();
-    }();
-    result.wall_seconds += wall.seconds();
+    h->step(result);
     ++k;
-    total_relax += stats.relaxations;
-    result.active_ranks.push_back(stats.active_ranks);
-    h->record_state(result);
-    result.relaxations.back() = static_cast<double>(total_relax);
 
     // --- Detect: which ranks were permanently dead during the step's
     // epochs? (dead() is monotone, so the last closed epoch suffices.)
@@ -179,7 +163,6 @@ ElasticRunResult run_elastic(dist::DistMethod method, const CsrMatrix& a,
       result.relaxations.resize(keep + 1);
       result.active_ranks.resize(keep);
       k = c.step;
-      total_relax = static_cast<index_t>(result.relaxations.back());
       for (auto& ev : out.recoveries) {
         if (ev.detected_step == detected_step) ev.resumed_step = c.step;
       }
@@ -218,9 +201,7 @@ ElasticRunResult run_elastic(dist::DistMethod method, const CsrMatrix& a,
                     static_cast<double>(c.epoch));
 
       // Watchdog bookkeeping rolls back with the series.
-      best_rn = r0;
-      for (double rn : result.residual_norm) best_rn = std::min(best_rn, rn);
-      steps_since_best = 0;
+      stop.rewind(result.residual_norm);
 
       // Re-checkpoint immediately: the stored buffer must always match the
       // current generation (a second failure restores onto THIS layout).
@@ -228,29 +209,8 @@ ElasticRunResult run_elastic(dist::DistMethod method, const CsrMatrix& a,
       continue;
     }
 
-    // --- Observer-side stop rules, identical to run_distributed.
-    const double rn = result.residual_norm.back();
-    if (opt.stop_at_residual > 0.0 && rn <= opt.stop_at_residual) break;
-    if (opt.divergence_abort > 0.0 && rn >= opt.divergence_abort) break;
-    if (opt.watchdog.enabled) {
-      if (!std::isfinite(rn)) {
-        result.watchdog = {true, "non-finite residual", k};
-        break;
-      }
-      if (rn > opt.watchdog.growth_factor * r0) {
-        result.watchdog = {true, "residual exceeded growth_factor x initial",
-                           k};
-        break;
-      }
-      if (rn < best_rn) {
-        best_rn = rn;
-        steps_since_best = 0;
-      } else if (opt.watchdog.stall_steps > 0 &&
-                 ++steps_since_best >= opt.watchdog.stall_steps) {
-        result.watchdog = {true, "residual stalled", k};
-        break;
-      }
-    }
+    // --- Observer-side stop rules, shared with run_distributed.
+    if (stop.stop(result)) break;
 
     if (rec.checkpoint_every > 0 && k - ckpt_step >= rec.checkpoint_every) {
       take_checkpoint(k);

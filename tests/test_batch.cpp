@@ -7,8 +7,10 @@
 /// solvers, both backends, composed with coalescing / async / faults /
 /// node routing), and the B >= 2 serving invariants: per-tenant
 /// trajectories bit-identical to solo runs, cross-backend bit-identity,
-/// physical-message reduction with logical invariance, and dropout that
-/// never perturbs the surviving tenants.
+/// physical-message reduction with logical invariance, dropout that
+/// never perturbs the surviving tenants, and every attachment of the
+/// shared run harness (async, node routing, faults, tracer, profiler)
+/// composed in one B >= 2 run.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +24,7 @@
 #include "dist/layout.hpp"
 #include "graph/partition.hpp"
 #include "kernels/kernels.hpp"
+#include "prof/prof.hpp"
 #include "simmpi/rank_context.hpp"
 #include "simmpi/runtime.hpp"
 #include "sparse/proxy_suite.hpp"
@@ -578,6 +581,57 @@ TEST(BatchServing, TracedBatchedRunIsDeterministic) {
   // The merged event stream of a batched run is byte-identical across
   // backends, like every other trace in the library.
   EXPECT_EQ(trace_bytes(a.trace_log), trace_bytes(b.trace_log));
+}
+
+TEST(BatchServing, SharedHarnessAttachmentsAreBitIdenticalAcrossBackends) {
+  // Everything a batch takes from the shared RunHarness at once: async
+  // delivery, node routing, message faults, tracer and profiler, B = 4.
+  auto p = make_problem(10, 6, 71);
+  dist::DistLayout layout(p.a, p.part);
+  const dist::DistLayout* layouts[] = {&layout};
+  std::vector<std::vector<value_t>> bs(3), xs(3);
+  std::vector<dist::TenantSpec> specs = {{p.b, p.x0, 0.0}};
+  for (std::size_t t = 0; t < 3; ++t) {
+    bs[t].assign(p.b.size(), 0.0);
+    xs[t].resize(p.x0.size());
+    util::Rng rng(100 + t);
+    rng.fill_uniform(xs[t], -1.0, 1.0);
+    sparse::normalize_initial_residual(p.a, bs[t], xs[t]);
+    specs.push_back({bs[t], xs[t], 0.0});
+  }
+  dist::DistRunOptions seq;
+  seq.max_parallel_steps = 12;
+  seq.async = true;
+  seq.num_nodes = 2;
+  seq.node_route = true;
+  seq.faults.defaults.drop_probability = 0.05;
+  seq.faults.defaults.duplicate_probability = 0.05;
+  seq.trace.enabled = true;
+  auto thr = seq;
+  thr.backend = simmpi::BackendKind::kThreadPool;
+  thr.num_threads = 3;
+  for (const auto m : {dist::DistMethod::kParallelSouthwell,
+                       dist::DistMethod::kDistributedSouthwell}) {
+    prof::Profiler prof_seq(layout.num_ranks());
+    prof::Profiler prof_thr(layout.num_ranks());
+    seq.profiler = &prof_seq;
+    thr.profiler = &prof_thr;
+    const auto a = dist::run_distributed_batch(m, layouts, specs, seq);
+    const auto b = dist::run_distributed_batch(m, layouts, specs, thr);
+    ASSERT_EQ(a.tenants.size(), 4u);
+    ASSERT_EQ(b.tenants.size(), 4u);
+    for (std::size_t t = 0; t < 4; ++t) {
+      EXPECT_EQ(a.tenants[t].final_x, b.tenants[t].final_x)
+          << dist::method_name(m) << " tenant " << t;
+    }
+    const std::string jsonl = trace_bytes(a.trace_log);
+    EXPECT_EQ(jsonl, trace_bytes(b.trace_log)) << dist::method_name(m);
+    for (const char* gauge : {"prof.alloc_tracking", "prof.allocs_total",
+                              "prof.allocs_bytes", "prof.frees_total"}) {
+      EXPECT_NE(jsonl.find(gauge), std::string::npos)
+          << dist::method_name(m) << " " << gauge;
+    }
+  }
 }
 
 }  // namespace

@@ -5,8 +5,9 @@
 /// restore-continuation across backends and composed with coalescing /
 /// async delivery / node topologies, fault-free byte-identity of
 /// run_elastic against run_distributed (series AND trace bytes), full
-/// kill-and-repartition recovery for all four solvers, and the
-/// Runtime::reset_stats / CommStats save-load audit.
+/// kill-and-repartition recovery for all four solvers, stop-rule parity
+/// with run_distributed (watchdog stall and growth, divergence_abort), and
+/// the Runtime::reset_stats / CommStats save-load audit.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +24,7 @@
 #include "faults/fault_plan.hpp"
 #include "graph/partition.hpp"
 #include "simmpi/runtime.hpp"
+#include "sparse/proxy_suite.hpp"
 #include "sparse/scaling.hpp"
 #include "sparse/stencils.hpp"
 #include "trace/export.hpp"
@@ -327,6 +329,64 @@ TEST(ElasticDriver, FaultFreeRunIsByteIdenticalToRunDistributed) {
                                      p.a, p.part, p.b, p.x0, opt, off);
   EXPECT_EQ(er_off.checkpoints_taken, 0);
   EXPECT_EQ(er_off.run.final_x, plain.final_x);
+}
+
+// ---------------------------------------------------------------------------
+// Stop-rule parity: run_elastic judges each step with run_distributed's
+// stop rules, so on a fault-free plan every rule stops both drivers at the
+// same step with the same report — checkpoints in between change nothing.
+
+TEST(ElasticDriver, StopRulesMatchRunDistributed) {
+  // Small-block Jacobi on an elasticity proxy diverges, so every rule
+  // below fires well inside the step budget.
+  auto proxy = sparse::make_proxy("msdoorp", 0.05);
+  std::vector<value_t> b(static_cast<std::size_t>(proxy.a.rows()), 0.0);
+  std::vector<value_t> x0(b.size());
+  util::Rng rng(6);
+  rng.fill_uniform(x0, -1.0, 1.0);
+  sparse::normalize_initial_residual(proxy.a, b, x0);
+  const auto part = graph::partition_recursive_bisection(
+      graph::Graph::from_matrix_structure(proxy.a), proxy.a.rows() / 4);
+
+  struct Case {
+    const char* name;
+    dist::DistRunOptions opt;
+    const char* reason;  ///< expected watchdog reason ("" = not fired)
+  };
+  dist::DistRunOptions base;
+  base.max_parallel_steps = 60;
+  std::vector<Case> cases;
+  {
+    auto stall = base;
+    stall.watchdog.enabled = true;
+    stall.watchdog.growth_factor = 1e300;
+    stall.watchdog.stall_steps = 3;
+    cases.push_back({"stall", stall, "residual stalled"});
+    auto growth = base;
+    growth.watchdog.enabled = true;
+    growth.watchdog.growth_factor = 4.0;
+    cases.push_back(
+        {"growth", growth, "residual exceeded growth_factor x initial"});
+    auto abort = base;
+    abort.divergence_abort = 4.0;
+    cases.push_back({"divergence_abort", abort, ""});
+  }
+  elastic::RecoveryOptions rec;
+  rec.checkpoint_every = 2;
+  for (const auto& c : cases) {
+    const auto plain = dist::run_distributed(dist::DistMethod::kBlockJacobi,
+                                             proxy.a, part, b, x0, c.opt);
+    const auto er = elastic::run_elastic(dist::DistMethod::kBlockJacobi,
+                                         proxy.a, part, b, x0, c.opt, rec);
+    EXPECT_LT(plain.steps_taken(), 60u) << c.name;
+    EXPECT_EQ(plain.watchdog.reason, c.reason) << c.name;
+    EXPECT_TRUE(er.recoveries.empty()) << c.name;
+    EXPECT_EQ(er.run.residual_norm, plain.residual_norm) << c.name;
+    EXPECT_EQ(er.run.steps_taken(), plain.steps_taken()) << c.name;
+    EXPECT_EQ(er.run.watchdog.fired, plain.watchdog.fired) << c.name;
+    EXPECT_EQ(er.run.watchdog.reason, plain.watchdog.reason) << c.name;
+    EXPECT_EQ(er.run.watchdog.step, plain.watchdog.step) << c.name;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -173,7 +173,8 @@ TEST(JsonParse, RejectsMalformedInput) {
 
 TEST(JsonParse, RejectsRawControlCharactersInStrings) {
   EXPECT_THROW(parse_json("\"a\nb\""), CheckError);
-  EXPECT_THROW(parse_json(std::string("\"a\x01b\"", 6)), CheckError);
+  // Split literal: "\x01b" would be the single hex escape 0x1b.
+  EXPECT_THROW(parse_json(std::string("\"a\x01" "b\"", 5)), CheckError);
 }
 
 TEST(JsonParse, PrefixParserAdvancesAcrossLines) {
