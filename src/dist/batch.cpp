@@ -1,10 +1,8 @@
 #include "dist/batch.hpp"
 
-#include <cmath>
 #include <functional>
 
 #include "dist/harness.hpp"
-#include "kernels/kernels.hpp"
 #include "util/error.hpp"
 #include "util/stopwatch.hpp"
 #include "wire/wire.hpp"
@@ -186,34 +184,23 @@ BatchRunResult run_distributed_batch(DistMethod method,
     ctx.consume();
   };
 
-  // Per-tenant exact residual norms via the batched SoA kernel, with
-  // per-rank partial sums so each lane reproduces its solver's
-  // global_residual_norm() bit-for-bit (same addends, same order).
-  std::vector<value_t> norm_acc(batch), rank_acc(batch), soa;
+  // Per-tenant exact residual norms, each from its own solver's
+  // global_residual_norm(). Only scheduled tenants record a norm per step,
+  // so a step norms only those; every tenant is normed at the start and
+  // once more after the loop (a dropped-out tenant may still absorb late
+  // messages, which its final residual must include).
   std::vector<double> rn(batch);
-  const auto compute_norms = [&] {
-    std::fill(norm_acc.begin(), norm_acc.end(), value_t{0});
-    for (int p = 0; p < num_ranks; ++p) {
-      const auto rows =
-          static_cast<std::size_t>(layout.rank(p).num_rows());
-      if (rows == 0) continue;
-      soa.resize(rows * batch);
-      for (std::size_t t = 0; t < batch; ++t) {
-        const auto rp = h.solver(t).local_r(p);
-        for (std::size_t i = 0; i < rows; ++i) soa[i * batch + t] = rp[i];
-      }
-      std::fill(rank_acc.begin(), rank_acc.end(), value_t{0});
-      kernels::norm_sq_batch(soa, batch, rank_acc);
-      for (std::size_t t = 0; t < batch; ++t) norm_acc[t] += rank_acc[t];
+  const auto norm_all = [&] {
+    for (std::size_t t = 0; t < batch; ++t) {
+      rn[t] = h.solver(t).global_residual_norm();
     }
-    for (std::size_t t = 0; t < batch; ++t) rn[t] = std::sqrt(norm_acc[t]);
   };
   const auto target_of = [&](std::size_t t) {
     return specs[t].stop_at_residual > 0.0 ? specs[t].stop_at_residual
                                            : opt.stop_at_residual;
   };
 
-  compute_norms();
+  norm_all();
   for (std::size_t t = 0; t < batch; ++t) {
     result.tenants[t].residual_norm.push_back(rn[t]);
     if (target_of(t) > 0.0 && rn[t] <= target_of(t)) {
@@ -269,9 +256,9 @@ BatchRunResult run_distributed_batch(DistMethod method,
     result.wall_seconds += wall.seconds();
     ++result.steps_taken;
 
-    compute_norms();
     for (int t : active_ids) {
       const auto ut = static_cast<std::size_t>(t);
+      rn[ut] = h.solver(ut).global_residual_norm();
       const DistStepStats st = h.solver(ut).merge_rank_stats();
       result.tenants[ut].relaxations +=
           static_cast<std::uint64_t>(st.relaxations);
@@ -289,8 +276,8 @@ BatchRunResult run_distributed_batch(DistMethod method,
     rt.drain_delayed();
     run_rank_phase(
         [&](simmpi::RankContext& ctx, int p) { demux_absorb(ctx, p); });
-    compute_norms();
   }
+  norm_all();
   if (opt.profiler) opt.profiler->end_alloc_window();
 
   for (std::size_t t = 0; t < batch; ++t) {

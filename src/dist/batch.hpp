@@ -51,9 +51,11 @@
 /// delegates to run_distributed, so a single-tenant "batched" run is
 /// byte-identical to an unbatched one (iterates AND traces) by
 /// construction, the same degeneracy contract flat topologies and
-/// staleness-0 async follow. Residual-norm accounting for B >= 2 uses the
-/// batched SoA kernel (kernels::norm_sq_batch) with per-rank partial sums,
-/// which reproduces each solver's global_residual_norm() bit-for-bit.
+/// staleness-0 async follow. Residual-norm accounting for B >= 2 calls
+/// each tenant's own global_residual_norm(): per step for the scheduled
+/// tenants only (no other tenant records a norm), and for every tenant at
+/// the start and after the loop (after the async drain, which may still
+/// move a dropped-out tenant's residual).
 ///
 /// Unsupported in batched runs (checked): watchdog and divergence_abort
 /// (observer policies defined on a single trajectory), and

@@ -20,7 +20,7 @@ void BlockJacobi::rank_relax(simmpi::RankContext& ctx, int p) {
   auto& xp = x_[up];
   auto& rp = r_[up];
   x_before_[up] = xp;  // snapshot for Δx
-  const double flops = local_gauss_seidel_sweep(rd.a_local, xp, rp);
+  const double flops = local_gauss_seidel_sweep(rd, xp, rp);
   ctx.add_flops(flops);
   ++rank_stats_[up].active_ranks;
   rank_stats_[up].relaxations += rd.num_rows();

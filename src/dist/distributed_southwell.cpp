@@ -18,6 +18,15 @@ DistributedSouthwell::DistributedSouthwell(
   gtilde2_.resize(static_cast<std::size_t>(nranks));
   ghost_.resize(static_cast<std::size_t>(nranks));
   dz_scratch_.resize(static_cast<std::size_t>(nranks));
+  dx_scratch_.resize(static_cast<std::size_t>(nranks));
+  // Reserve each rank's widest boundary so rank_relax never allocates dx.
+  for (int p = 0; p < nranks; ++p) {
+    std::size_t widest = 0;
+    for (const auto& nb : layout.rank(p).neighbors) {
+      widest = std::max(widest, nb.send_rows_local.size());
+    }
+    dx_scratch_[static_cast<std::size_t>(p)].reserve(widest);
+  }
   corrections_sent_.assign(static_cast<std::size_t>(nranks), 0);
   deferred_sends_.assign(static_cast<std::size_t>(nranks), 0);
   if (auto* tracer = rt.tracer()) {
@@ -153,29 +162,31 @@ void DistributedSouthwell::rank_relax(simmpi::RankContext& ctx, int p) {
   auto& rp = r_[up];
   auto& snap = scratch_[up];
   snap.assign(xp.begin(), xp.end());  // snapshot for Δx
-  const double flops = local_gauss_seidel_sweep(rd.a_local, xp, rp);
+  const double flops = local_gauss_seidel_sweep(rd, xp, rp);
   ctx.add_flops(flops);
   ++rank_stats_[up].active_ranks;
   rank_stats_[up].relaxations += rd.num_rows();
   trace_relax(ctx, rd.num_rows());
   const value_t norm2_new = local_norm_sq(rp);
-  // Δx over the full local vector (a_qp columns only touch boundary rows,
-  // and message payloads pick out the per-neighbor boundary entries).
-  for (std::size_t li = 0; li < xp.size(); ++li) {
-    snap[li] = xp[li] - snap[li];
-  }
-  const auto dx_full = std::span<const value_t>(snap.data(), xp.size());
   const auto prof_encode = prof_phase(p, prof::PhaseId::kEncode);
   auto& dz = dz_scratch_[up];
+  auto& dx = dx_scratch_[up];
   auto& ch = channels_[up];
   for (std::size_t k = 0; k < rd.neighbors.size(); ++k) {
     const auto& nb = rd.neighbors[k];
+    // Boundary Δx toward q, in send_rows_local order: the columns of a_qp
+    // and the payload of the message.
+    dx.resize(nb.send_rows_local.size());
+    for (std::size_t s = 0; s < dx.size(); ++s) {
+      const auto li = static_cast<std::size_t>(nb.send_rows_local[s]);
+      dx[s] = xp[li] - snap[li];
+    }
     // Local estimate maintenance: z_q -= a_qp · Δx_p, and fold the ghost
     // change into the Γ[q] estimate (all with local data only).
     if (opt_.enable_local_estimates) {
       auto& z = ghost_[up][k];
       dz.assign(z.size(), 0.0);
-      nb.a_qp.spmv(dx_full, dz);
+      nb.a_qp.spmv(dx, dz);
       ctx.add_flops(2.0 * static_cast<double>(nb.a_qp.nnz()));
       value_t old_sq = 0.0, new_sq = 0.0;
       for (std::size_t g = 0; g < z.size(); ++g) {
@@ -193,7 +204,7 @@ void DistributedSouthwell::rank_relax(simmpi::RankContext& ctx, int p) {
       auto& pend = pending_dx_[up][k];
       value_t acc_sq = 0.0;
       for (std::size_t s = 0; s < nb.send_rows_local.size(); ++s) {
-        pend[s] += dx_full[static_cast<std::size_t>(nb.send_rows_local[s])];
+        pend[s] += dx[s];
         acc_sq += pend[s] * pend[s];
       }
       if (acc_sq <= opt_.send_threshold * opt_.send_threshold * norm2_new) {
@@ -218,7 +229,7 @@ void DistributedSouthwell::rank_relax(simmpi::RankContext& ctx, int p) {
       const auto li = static_cast<std::size_t>(nb.send_rows_local[s]);
       // Resilient mode ships absolute boundary x (self-healing across
       // message loss — solver_base.hpp); default mode ships the delta.
-      rec.dx[s] = resilient() ? xp[li] : dx_full[li];
+      rec.dx[s] = resilient() ? xp[li] : dx[s];
       rec.rb[s] = rp[li];
     }
     if (resilient()) resil_note_send(p, k);

@@ -24,7 +24,9 @@ GreedySchwarzResult run_greedy_schwarz(const DistLayout& layout,
   simmpi::SequentialBackend sequential;
   simmpi::ExecutionBackend& backend = opt.backend ? *opt.backend : sequential;
   backend.run_epoch(nranks, [&](int p) {
-    subtract_a_times_x_local(layout, x, r[static_cast<std::size_t>(p)], p);
+    std::vector<value_t> ghost_buf;
+    subtract_a_times_x_local(layout, x, r[static_cast<std::size_t>(p)], p,
+                             ghost_buf);
   });
 
   util::IndexedMaxHeap<value_t> heap(static_cast<std::size_t>(nranks));
@@ -40,30 +42,31 @@ GreedySchwarzResult run_greedy_schwarz(const DistLayout& layout,
   const index_t budget = opt.max_block_relaxations > 0
                              ? opt.max_block_relaxations
                              : static_cast<index_t>(nranks);
-  std::vector<value_t> x_before, dx;
+  std::vector<value_t> x_before, dx, contrib;
   for (index_t step = 0; step < budget; ++step) {
     const auto p = static_cast<int>(heap.top());
     if (heap.top_key() <= 0.0) break;  // exactly solved
     const RankData& rd = layout.rank(p);
     const auto up = static_cast<std::size_t>(p);
     x_before = x[up];
-    local_gauss_seidel_sweep(rd.a_local, x[up], r[up]);
+    local_gauss_seidel_sweep(rd, x[up], r[up]);
     result.total_row_relaxations += rd.num_rows();
     result.relaxed_rank.push_back(p);
     heap.update(up, local_norm_sq(r[up]));
     // Propagate Δx to the neighbors' residuals immediately (multiplicative
-    // Schwarz: strictly sequential updates).
-    dx.resize(x[up].size());
-    for (std::size_t i = 0; i < dx.size(); ++i) {
-      dx[i] = x[up][i] - x_before[i];
-    }
-    // r_q -= a_qp · Δx_p for each neighbor q. a_qp maps p-local dofs to
-    // q's ghost-row ordering (q's boundary rows toward p), so translate
-    // those rows back into q's local vector.
+    // Schwarz: strictly sequential updates). r_q -= a_qp · Δx_p for each
+    // neighbor q: a_qp takes p's boundary Δx toward q (send_rows_local
+    // order) and yields q's ghost-row ordering (q's boundary rows toward
+    // p), so translate those rows back into q's local vector.
     for (const auto& nb : rd.neighbors) {
       const int q = nb.rank;
       const auto uq = static_cast<std::size_t>(q);
-      std::vector<value_t> contrib(nb.ghost_rows.size(), 0.0);
+      dx.resize(nb.send_rows_local.size());
+      for (std::size_t s = 0; s < dx.size(); ++s) {
+        const auto li = static_cast<std::size_t>(nb.send_rows_local[s]);
+        dx[s] = x[up][li] - x_before[li];
+      }
+      contrib.resize(nb.ghost_rows.size());
       nb.a_qp.spmv(dx, contrib);
       for (std::size_t k = 0; k < nb.ghost_rows.size(); ++k) {
         const index_t g = nb.ghost_rows[k];

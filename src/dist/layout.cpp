@@ -43,13 +43,18 @@ DistLayout::DistLayout(const CsrMatrix& a, const graph::Partition& partition) {
     RankData& rd = ranks_[static_cast<std::size_t>(p)];
     const auto m = static_cast<index_t>(rd.rows.size());
 
-    // Pass 1: discover neighbor ranks and their coupled (ghost) rows.
+    // Pass 1: discover neighbor ranks, their coupled (ghost) rows, and
+    // p's rows coupled to each (the send rows, ascending because li is).
     std::map<int, std::vector<index_t>> ghost_sets;  // rank -> global rows
+    std::map<int, std::vector<index_t>> send_rows;   // rank -> local rows
     for (index_t li = 0; li < m; ++li) {
       const index_t gi = rd.rows[static_cast<std::size_t>(li)];
       for (index_t gj : a.row_cols(gi)) {
         const int q = rank_of_[static_cast<std::size_t>(gj)];
-        if (q != p) ghost_sets[q].push_back(gj);
+        if (q == p) continue;
+        ghost_sets[q].push_back(gj);
+        auto& sr = send_rows[q];
+        if (sr.empty() || sr.back() != li) sr.push_back(li);
       }
     }
     for (auto& [q, ghosts] : ghost_sets) {
@@ -57,12 +62,14 @@ DistLayout::DistLayout(const CsrMatrix& a, const graph::Partition& partition) {
       ghosts.erase(std::unique(ghosts.begin(), ghosts.end()), ghosts.end());
     }
 
-    // Pass 2: build the local block and per-neighbor a_pq blocks.
+    // Pass 2: build the local block and per-neighbor a_pq blocks. Row s of
+    // a_pq is local row send_rows[q][s]: only coupled rows are stored.
     sparse::CooBuilder local(m, m);
     std::map<int, sparse::CooBuilder> pq;  // rank -> coupling block builder
-    std::map<int, std::vector<index_t>> send_rows;  // rank -> local rows
     for (auto& [q, ghosts] : ghost_sets) {
-      pq.emplace(q, sparse::CooBuilder(m, static_cast<index_t>(ghosts.size())));
+      pq.emplace(q, sparse::CooBuilder(
+                        static_cast<index_t>(send_rows.at(q).size()),
+                        static_cast<index_t>(ghosts.size())));
     }
     for (index_t li = 0; li < m; ++li) {
       const index_t gi = rd.rows[static_cast<std::size_t>(li)];
@@ -77,20 +84,23 @@ DistLayout::DistLayout(const CsrMatrix& a, const graph::Partition& partition) {
           const auto& ghosts = ghost_sets[q];
           auto it = std::lower_bound(ghosts.begin(), ghosts.end(), gj);
           DSOUTH_ASSERT(it != ghosts.end() && *it == gj);
-          pq.at(q).add(li, static_cast<index_t>(it - ghosts.begin()), vals[k]);
-          auto& sr = send_rows[q];
-          if (sr.empty() || sr.back() != li) sr.push_back(li);
+          const auto& sr = send_rows.at(q);
+          auto row = std::lower_bound(sr.begin(), sr.end(), li);
+          DSOUTH_ASSERT(row != sr.end() && *row == li);
+          pq.at(q).add(static_cast<index_t>(row - sr.begin()),
+                       static_cast<index_t>(it - ghosts.begin()), vals[k]);
         }
       }
     }
 
     rd.a_local = local.to_csr();
+    rd.a_local_diag = rd.a_local.diagonal();
     rd.neighbors.reserve(ghost_sets.size());
     for (auto& [q, ghosts] : ghost_sets) {
       NeighborBlock nb;
       nb.rank = q;
       nb.ghost_rows = std::move(ghosts);
-      nb.send_rows_local = std::move(send_rows[q]);  // ascending by li
+      nb.send_rows_local = std::move(send_rows.at(q));
       nb.a_pq = pq.at(q).to_csr();
       nb.a_qp = nb.a_pq.transpose();
       rd.neighbors.push_back(std::move(nb));  // map iterates ascending rank
@@ -178,19 +188,26 @@ bool DistLayout::validate(const CsrMatrix& a) const {
     }
     // Block shapes.
     if (rd.a_local.rows() != rd.num_rows() ||
-        rd.a_local.cols() != rd.num_rows()) {
+        rd.a_local.cols() != rd.num_rows() ||
+        rd.a_local_diag != rd.a_local.diagonal()) {
       return false;
     }
     for (const auto& nb : rd.neighbors) {
       if (nb.rank == p || nb.rank < 0 || nb.rank >= num_ranks()) return false;
-      if (nb.a_pq.rows() != rd.num_rows()) return false;
-      if (nb.a_pq.cols() != static_cast<index_t>(nb.ghost_rows.size())) {
-        return false;
+      const auto sends = static_cast<index_t>(nb.send_rows_local.size());
+      const auto ghosts = static_cast<index_t>(nb.ghost_rows.size());
+      if (nb.a_pq.rows() != sends || nb.a_pq.cols() != ghosts) return false;
+      if (nb.a_qp.rows() != ghosts || nb.a_qp.cols() != sends) return false;
+      // Send rows: ascending local rows, each one coupled to q (a_pq
+      // stores no empty row).
+      for (std::size_t s = 0; s < nb.send_rows_local.size(); ++s) {
+        const index_t li = nb.send_rows_local[s];
+        if (li < 0 || li >= rd.num_rows() ||
+            (s > 0 && nb.send_rows_local[s - 1] >= li) ||
+            nb.a_pq.row_nnz(static_cast<index_t>(s)) == 0) {
+          return false;
+        }
       }
-      if (nb.a_qp.rows() != static_cast<index_t>(nb.ghost_rows.size())) {
-        return false;
-      }
-      if (nb.a_qp.cols() != rd.num_rows()) return false;
       // Mirrored channel lists: q's send rows == p's ghost rows for q.
       const RankData& qd = rank(nb.rank);
       const int back = qd.neighbor_index(p);
@@ -203,11 +220,13 @@ bool DistLayout::validate(const CsrMatrix& a) const {
           return false;
         }
       }
-      // Values of a_pq match the global matrix.
-      for (index_t li = 0; li < nb.a_pq.rows(); ++li) {
-        auto cols = nb.a_pq.row_cols(li);
-        auto vals = nb.a_pq.row_vals(li);
-        const index_t gi = rd.rows[static_cast<std::size_t>(li)];
+      // Values of a_pq match the global matrix; row s is local row
+      // send_rows_local[s].
+      for (index_t s = 0; s < nb.a_pq.rows(); ++s) {
+        auto cols = nb.a_pq.row_cols(s);
+        auto vals = nb.a_pq.row_vals(s);
+        const index_t gi = rd.rows[static_cast<std::size_t>(
+            nb.send_rows_local[static_cast<std::size_t>(s)])];
         for (std::size_t k = 0; k < cols.size(); ++k) {
           const index_t gj = nb.ghost_rows[static_cast<std::size_t>(cols[k])];
           if (std::abs(a.at(gi, gj) - vals[k]) > 0.0) return false;

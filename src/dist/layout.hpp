@@ -18,14 +18,27 @@
 ///     (b) the rows whose Δx q sends to p, and (c) q's "boundary rows
 ///     w.r.t. p" on the sending side — so one ordering serves both ends of
 ///     the channel and messages need no index payload.
-///   a_pq — |rows_p| × |ghost_rows| block: p's rows vs. q's coupled rows.
-///     Applying an incoming update is r_p -= a_pq · Δx_q.
-///   a_qp — |ghost_rows| × |rows_p| block (= a_pqᵀ for symmetric A): lets p
-///     update its ghost layer z_q -= a_qp · Δx_p with purely local data
-///     ("the process responsible for row i stores column i of A", §3).
-///   send_rows_local — p's rows coupled to q (local indices): the Δx and
-///     boundary-residual values p sends to q, in exactly the order of q's
-///     ghost_rows list for p.
+///   send_rows_local — p's rows coupled to q (local indices, ascending):
+///     the Δx and boundary-residual values p sends to q, in exactly the
+///     order of q's ghost_rows list for p. Call its positions p's
+///     "boundary coordinates" toward q.
+///   a_pq — |send_rows_local| × |ghost_rows| block: p's coupled rows vs.
+///     q's coupled rows. Only non-empty rows are stored (A_pq is zero on
+///     every other row of p), so row s stands for local row
+///     send_rows_local[s]. Applying an incoming update is
+///     r_p[send_rows_local[s]] -= (a_pq · Δx_q)[s] — work and flops in
+///     proportion to nnz(a_pq), not to |rows_p|.
+///   a_qp — |ghost_rows| × |send_rows_local| block (= a_pqᵀ for symmetric
+///     A): lets p update its ghost layer z_q -= a_qp · Δx_p with purely
+///     local data ("the process responsible for row i stores column i of
+///     A", §3). Its columns are boundary coordinates too, so it takes the
+///     per-neighbor boundary Δx — the same vector p ships to q.
+///
+/// RankData also caches a_local's diagonal (a_local_diag, computed once
+/// here) so the per-step Gauss–Seidel sweep reads a_ii directly instead of
+/// searching each row. The cache lives in RankData, not CsrMatrix: the
+/// layout's blocks are never modified after construction, whereas other
+/// CsrMatrix users rewrite values in place.
 
 #include <optional>
 #include <vector>
@@ -46,13 +59,14 @@ struct NeighborBlock {
   int rank = -1;
   std::vector<index_t> ghost_rows;       ///< q's coupled rows (global, asc)
   std::vector<index_t> send_rows_local;  ///< p's coupled rows (local, asc)
-  CsrMatrix a_pq;  ///< rows_p × ghost_rows coupling block
-  CsrMatrix a_qp;  ///< ghost_rows × rows_p coupling block (a_pqᵀ)
+  CsrMatrix a_pq;  ///< send_rows_local × ghost_rows coupling block
+  CsrMatrix a_qp;  ///< ghost_rows × send_rows_local coupling block (a_pqᵀ)
 };
 
 struct RankData {
   std::vector<index_t> rows;  ///< global rows owned (ascending)
   CsrMatrix a_local;          ///< diagonal block (local indices)
+  std::vector<value_t> a_local_diag;  ///< a_local.diagonal(), cached
   std::vector<NeighborBlock> neighbors;  ///< ascending by rank id
 
   index_t num_rows() const { return static_cast<index_t>(rows.size()); }
@@ -81,8 +95,9 @@ class DistLayout {
   std::vector<value_t> gather(
       const std::vector<std::vector<value_t>>& local) const;
 
-  /// Structural self-check (used by tests): block dimensions, mirrored
-  /// ghost/send lists, and a_qp == a_pqᵀ.
+  /// Structural self-check (used by tests): block dimensions (a_pq and
+  /// a_qp in boundary coordinates), the cached diagonal, mirrored
+  /// ghost/send lists, and a_pq's values against `a`.
   bool validate(const CsrMatrix& a) const;
 
   /// The wire-level communication plan precomputed from the neighbor

@@ -50,7 +50,7 @@ void MulticolorBlockGs::rank_relax(simmpi::RankContext& ctx, int p) {
   auto& rp = r_[up];
   auto& snap = scratch_[up];
   snap.assign(xp.begin(), xp.end());
-  const double flops = local_gauss_seidel_sweep(rd.a_local, xp, rp);
+  const double flops = local_gauss_seidel_sweep(rd, xp, rp);
   ctx.add_flops(flops);
   ++rank_stats_[up].active_ranks;
   rank_stats_[up].relaxations += rd.num_rows();

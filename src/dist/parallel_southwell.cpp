@@ -66,7 +66,7 @@ void ParallelSouthwell::rank_relax(simmpi::RankContext& ctx, int p) {
   auto& rp = r_[up];
   auto& snap = scratch_[up];
   snap.assign(xp.begin(), xp.end());  // snapshot for Δx
-  const double flops = local_gauss_seidel_sweep(rd.a_local, xp, rp);
+  const double flops = local_gauss_seidel_sweep(rd, xp, rp);
   ctx.add_flops(flops);
   ++rank_stats_[up].active_ranks;
   rank_stats_[up].relaxations += rd.num_rows();

@@ -10,18 +10,19 @@ namespace dsouth::dist {
 
 void subtract_a_times_x_local(const DistLayout& layout,
                               const std::vector<std::vector<value_t>>& x,
-                              std::vector<value_t>& r_p, int p) {
+                              std::vector<value_t>& r_p, int p,
+                              std::vector<value_t>& ghost_buf) {
   const RankData& rd = layout.rank(p);
   if (rd.num_rows() == 0) return;
   rd.a_local.spmv_acc(-1.0, x[static_cast<std::size_t>(p)], r_p);
   for (const auto& nb : rd.neighbors) {
-    std::vector<value_t> xg(nb.ghost_rows.size());
+    ghost_buf.resize(nb.ghost_rows.size());
     for (std::size_t k = 0; k < nb.ghost_rows.size(); ++k) {
       const index_t g = nb.ghost_rows[k];
-      xg[k] = x[static_cast<std::size_t>(layout.rank_of_row(g))]
-               [static_cast<std::size_t>(layout.local_of_row(g))];
+      ghost_buf[k] = x[static_cast<std::size_t>(layout.rank_of_row(g))]
+                      [static_cast<std::size_t>(layout.local_of_row(g))];
     }
-    nb.a_pq.spmv_acc(-1.0, xg, r_p);
+    nb.a_pq.spmv_acc_scatter(-1.0, ghost_buf, nb.send_rows_local, r_p);
   }
 }
 
@@ -44,8 +45,10 @@ DistStationarySolver::DistStationarySolver(const DistLayout& layout,
   scratch_.resize(nranks);
   rank_stats_.resize(nranks);
   channels_.reserve(nranks);
+  std::vector<value_t> ghost_buf;
   for (int p = 0; p < layout.num_ranks(); ++p) {
-    subtract_a_times_x_local(layout, x_, r_[static_cast<std::size_t>(p)], p);
+    subtract_a_times_x_local(layout, x_, r_[static_cast<std::size_t>(p)], p,
+                             ghost_buf);
     scratch_[static_cast<std::size_t>(p)].resize(
         static_cast<std::size_t>(layout.rank(p).num_rows()));
     channels_.emplace_back(layout.comm_plan(), p);
@@ -388,7 +391,8 @@ void DistStationarySolver::apply_incoming_delta(simmpi::RankContext& ctx,
                                                 const NeighborBlock& nb,
                                                 std::span<const double> dx) {
   DSOUTH_CHECK(dx.size() == nb.ghost_rows.size());
-  nb.a_pq.spmv_acc(-1.0, dx, r_[static_cast<std::size_t>(ctx.rank())]);
+  nb.a_pq.spmv_acc_scatter(-1.0, dx, nb.send_rows_local,
+                           r_[static_cast<std::size_t>(ctx.rank())]);
   ctx.add_flops(2.0 * static_cast<double>(nb.a_pq.nnz()));
 }
 

@@ -97,10 +97,13 @@ struct RecoveryContract {
 /// Setup-phase helper shared with greedy_schwarz: r_p -= A_pp x_p +
 /// Σ_q A_pq x_q for rank p. Reads neighbor x directly (the paper's
 /// artifact likewise distributes the assembled system before the solve
-/// phase); per-rank, so a backend may run it for all ranks concurrently.
+/// phase); per-rank, so a backend may run it for all ranks concurrently
+/// as long as each concurrent call gets its own `ghost_buf` (scratch for
+/// the gathered ghost x, reused across neighbors and calls).
 void subtract_a_times_x_local(const DistLayout& layout,
                               const std::vector<std::vector<value_t>>& x,
-                              std::vector<value_t>& r_p, int p);
+                              std::vector<value_t>& r_p, int p,
+                              std::vector<value_t>& ghost_buf);
 
 class DistStationarySolver {
  public:
@@ -324,8 +327,9 @@ class DistStationarySolver {
   /// Inverse of capture_extra; `in` is exactly what capture_extra wrote.
   virtual void restore_extra(std::span<const double> in);
 
-  /// r_p -= a_pq · Δx_q and charge the flops; dx is ordered by the
-  /// neighbor's ghost_rows channel convention.
+  /// r_p -= A_pq · Δx_q and charge the flops; dx is ordered by the
+  /// neighbor's ghost_rows channel convention. Touches only the rows in
+  /// nb.send_rows_local (a_pq's rows, layout.hpp).
   void apply_incoming_delta(simmpi::RankContext& ctx, const NeighborBlock& nb,
                             std::span<const double> dx);
 

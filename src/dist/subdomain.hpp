@@ -10,6 +10,7 @@
 
 #include <span>
 
+#include "dist/layout.hpp"
 #include "kernels/kernels.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/types.hpp"
@@ -20,11 +21,12 @@ using sparse::CsrMatrix;
 using sparse::index_t;
 using sparse::value_t;
 
-/// One Gauss–Seidel sweep over the local block (kernels::gs_sweep).
-inline double local_gauss_seidel_sweep(const CsrMatrix& a_local,
+/// One Gauss–Seidel sweep over rank rd's local block (kernels::gs_sweep,
+/// reading the diagonal the layout cached).
+inline double local_gauss_seidel_sweep(const RankData& rd,
                                        std::span<value_t> x,
                                        std::span<value_t> r) {
-  return kernels::gs_sweep(a_local, x, r);
+  return kernels::gs_sweep(rd.a_local, rd.a_local_diag, x, r);
 }
 
 /// Squared 2-norm of the local residual (kernels::norm_sq).

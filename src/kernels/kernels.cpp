@@ -6,14 +6,20 @@ namespace dsouth::kernels {
 
 double gs_sweep(const CsrMatrix& a_local, std::span<value_t> x,
                 std::span<value_t> r) {
+  return gs_sweep(a_local, a_local.diagonal(), x, r);
+}
+
+double gs_sweep(const CsrMatrix& a_local, std::span<const value_t> diag,
+                std::span<value_t> x, std::span<value_t> r) {
   const index_t m = a_local.rows();
+  DSOUTH_CHECK(diag.size() == static_cast<std::size_t>(m));
   DSOUTH_CHECK(x.size() == static_cast<std::size_t>(m));
   DSOUTH_CHECK(r.size() == static_cast<std::size_t>(m));
   auto row_ptr = a_local.row_ptr();
   auto col_idx = a_local.col_idx();
   auto vals = a_local.values();
   for (index_t i = 0; i < m; ++i) {
-    const value_t aii = a_local.at(i, i);
+    const value_t aii = diag[static_cast<std::size_t>(i)];
     DSOUTH_ASSERT(aii != 0.0);
     const value_t delta = r[static_cast<std::size_t>(i)] / aii;
     if (delta == 0.0) continue;
@@ -38,8 +44,8 @@ double gs_sweep_batch(const CsrMatrix& a_local, std::size_t lanes,
   auto row_ptr = a_local.row_ptr();
   auto col_idx = a_local.col_idx();
   auto vals = a_local.values();
-  // Per-row lane deltas; 64 covers every batch size the benches use and
-  // the general path below handles anything larger without allocating.
+  // Per-row lane deltas on the stack; 64 covers every batch size the
+  // benches use, and larger batches are rejected rather than allocated.
   constexpr std::size_t kMaxStackLanes = 64;
   value_t delta_buf[kMaxStackLanes];
   DSOUTH_CHECK_MSG(lanes <= kMaxStackLanes,

@@ -46,7 +46,13 @@ using sparse::value_t;
 /// for each local row i in ascending order, x_i += r_i / a_ii and
 /// r_j -= a_ji δ for local j (symmetric block ⇒ column i is row i), with
 /// the diagonal update pinned exactly (r_i = 0). Returns the flop count
-/// charged to the machine model (≈ 2·nnz + 2·m).
+/// charged to the machine model (≈ 2·nnz + 2·m). `diag` is
+/// a_local.diagonal(); callers that sweep one block many times cache it
+/// (dist::RankData::a_local_diag) so no row searches for its a_ii.
+double gs_sweep(const CsrMatrix& a_local, std::span<const value_t> diag,
+                std::span<value_t> x, std::span<value_t> r);
+
+/// gs_sweep with the diagonal extracted on every call.
 double gs_sweep(const CsrMatrix& a_local, std::span<value_t> x,
                 std::span<value_t> r);
 

@@ -76,6 +76,22 @@ void CsrMatrix::spmv_acc(value_t alpha, std::span<const value_t> x,
   }
 }
 
+void CsrMatrix::spmv_acc_scatter(value_t alpha, std::span<const value_t> x,
+                                 std::span<const index_t> rows,
+                                 std::span<value_t> y) const {
+  DSOUTH_CHECK(x.size() == static_cast<std::size_t>(cols_));
+  DSOUTH_CHECK(rows.size() == static_cast<std::size_t>(rows_));
+  for (index_t i = 0; i < rows_; ++i) {
+    value_t sum = 0.0;
+    const index_t b = row_ptr_[i], e = row_ptr_[i + 1];
+    for (index_t k = b; k < e; ++k) sum += values_[k] * x[col_idx_[k]];
+    const auto yi =
+        static_cast<std::size_t>(rows[static_cast<std::size_t>(i)]);
+    DSOUTH_ASSERT(yi < y.size());
+    y[yi] += alpha * sum;
+  }
+}
+
 void CsrMatrix::residual(std::span<const value_t> b, std::span<const value_t> x,
                          std::span<value_t> r) const {
   DSOUTH_CHECK(b.size() == static_cast<std::size_t>(rows_));

@@ -48,6 +48,17 @@ class CsrMatrix {
   void spmv_acc(value_t alpha, std::span<const value_t> x,
                 std::span<value_t> y) const;
 
+  /// y[rows[i]] += alpha * (A x)_i, where A holds only the rows of a
+  /// taller matrix that are listed in `rows` (`rows.size() ==
+  /// this->rows()`) and the taller matrix is zero elsewhere. Each listed
+  /// row gets the same additions in the same order as spmv_acc with the
+  /// taller matrix would give it. For alpha < 0 the whole result is
+  /// bit-identical: every other row would only have gained alpha·0 = −0.0,
+  /// which leaves any value, −0.0 included, unchanged.
+  void spmv_acc_scatter(value_t alpha, std::span<const value_t> x,
+                        std::span<const index_t> rows,
+                        std::span<value_t> y) const;
+
   /// r = b - A x.
   void residual(std::span<const value_t> b, std::span<const value_t> x,
                 std::span<value_t> r) const;

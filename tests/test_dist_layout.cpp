@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+
+#include "sparse/coo.hpp"
 #include "sparse/proxy_suite.hpp"
 #include "sparse/stencils.hpp"
 #include "util/error.hpp"
@@ -101,6 +106,77 @@ TEST(DistLayout, TransposedBlocksMatch) {
       }
     }
   }
+}
+
+TEST(DistLayout, CompressedCouplingApplyIsBitIdenticalToFullHeight) {
+  // a_pq stores only p's rows coupled to q. Applying it through
+  // send_rows_local must give bit for bit what the full-height A_pq
+  // (every local row, most of them empty) gives through spmv_acc — even
+  // on a residual that holds -0.0 in rows the block does not touch.
+  auto proxy = sparse::make_proxy("msdoorp", 0.02);
+  const CsrMatrix& a = proxy.a;
+  auto part = make_partition(a, 12);
+  DistLayout layout(a, part);
+  util::Rng rng(17);
+  std::size_t negative_zero_rows = 0;
+  for (int p = 0; p < layout.num_ranks(); ++p) {
+    const RankData& rd = layout.rank(p);
+    const index_t m = rd.num_rows();
+    ASSERT_EQ(rd.a_local_diag, rd.a_local.diagonal());
+    for (value_t d : rd.a_local_diag) EXPECT_NE(d, 0.0);
+    for (const auto& nb : rd.neighbors) {
+      ASSERT_EQ(nb.a_pq.rows(),
+                static_cast<index_t>(nb.send_rows_local.size()));
+      for (index_t s = 0; s < nb.a_pq.rows(); ++s) {
+        EXPECT_GT(nb.a_pq.row_nnz(s), 0) << "empty a_pq row " << s;
+      }
+      // Full-height A_pq straight from the global matrix.
+      sparse::CooBuilder full_b(m, static_cast<index_t>(nb.ghost_rows.size()));
+      for (index_t li = 0; li < m; ++li) {
+        const index_t gi = rd.rows[static_cast<std::size_t>(li)];
+        auto cols = a.row_cols(gi);
+        auto vals = a.row_vals(gi);
+        for (std::size_t k = 0; k < cols.size(); ++k) {
+          if (layout.rank_of_row(cols[k]) != nb.rank) continue;
+          auto it = std::lower_bound(nb.ghost_rows.begin(),
+                                     nb.ghost_rows.end(), cols[k]);
+          ASSERT_TRUE(it != nb.ghost_rows.end() && *it == cols[k]);
+          full_b.add(li, static_cast<index_t>(it - nb.ghost_rows.begin()),
+                     vals[k]);
+        }
+      }
+      const CsrMatrix full = full_b.to_csr();
+      ASSERT_EQ(full.nnz(), nb.a_pq.nnz());
+
+      std::vector<value_t> dx(nb.ghost_rows.size());
+      rng.fill_uniform(dx, -1.0, 1.0);
+      std::vector<value_t> r(static_cast<std::size_t>(m));
+      rng.fill_uniform(r, -1.0, 1.0);
+      std::vector<char> boundary(r.size(), 0);
+      for (index_t li : nb.send_rows_local) {
+        boundary[static_cast<std::size_t>(li)] = 1;
+      }
+      for (std::size_t li = 0; li < r.size(); li += 2) {
+        if (!boundary[li]) {
+          r[li] = -0.0;
+          ++negative_zero_rows;
+        }
+      }
+      std::vector<value_t> r_full = r, r_compressed = r;
+      full.spmv_acc(-1.0, dx, r_full);
+      nb.a_pq.spmv_acc_scatter(-1.0, dx, nb.send_rows_local, r_compressed);
+      EXPECT_EQ(std::memcmp(r_full.data(), r_compressed.data(),
+                            r.size() * sizeof(value_t)),
+                0)
+          << "rank " << p << " neighbor " << nb.rank;
+      for (std::size_t li = 0; li < r.size(); ++li) {
+        if (!boundary[li] && r[li] == 0.0 && std::signbit(r[li])) {
+          EXPECT_TRUE(std::signbit(r_compressed[li]));
+        }
+      }
+    }
+  }
+  EXPECT_GT(negative_zero_rows, 0u);
 }
 
 TEST(DistLayout, NeighborRelationIsSymmetric) {
