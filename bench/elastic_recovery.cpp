@@ -83,8 +83,10 @@ int run(int argc, char** argv) {
   std::string kill_desc;
   for (const auto& k : kills) {
     if (!kill_desc.empty()) kill_desc += ", ";
-    kill_desc += "r" + std::to_string(k.rank) + "@" +
-                 std::to_string(k.epoch);
+    kill_desc += 'r';
+    kill_desc += std::to_string(k.rank);
+    kill_desc += '@';
+    kill_desc += std::to_string(k.epoch);
   }
   print_header(
       "Elastic recovery — convergence after permanent rank failure",
@@ -151,7 +153,8 @@ int run(int argc, char** argv) {
       };
       for (std::size_t i = 0; i < er.recoveries.size(); ++i) {
         const auto& ev = er.recoveries[i];
-        const std::string sfx = "_" + std::to_string(i);
+        std::string sfx = "_";
+        sfx += std::to_string(i);
         extra.emplace_back("recovery_dead_rank" + sfx,
                            static_cast<std::uint64_t>(ev.dead_rank));
         extra.emplace_back("recovery_resumed_step" + sfx,

@@ -1,14 +1,15 @@
 #include "analysis/run_trace.hpp"
 
+#include <array>
 #include <fstream>
-#include <sstream>
+#include <iterator>
 
 #include "util/error.hpp"
 #include "util/json.hpp"
 
 namespace dsouth::analysis {
 
-using util::JsonValue;
+using util::JsonField;
 
 double MetricSeries::total() const {
   double t = 0.0;
@@ -53,7 +54,7 @@ namespace {
 constexpr int kMinVersion = 1;
 constexpr int kMaxVersion = 6;
 
-trace::EventKind parse_kind(const std::string& name) {
+trace::EventKind parse_kind(std::string_view name) {
   for (int k = 0; k < trace::kNumEventKinds; ++k) {
     const auto kind = static_cast<trace::EventKind>(k);
     if (name == trace::event_kind_name(kind)) return kind;
@@ -62,7 +63,7 @@ trace::EventKind parse_kind(const std::string& name) {
   return trace::EventKind::kPut;  // unreachable
 }
 
-trace::MetricKind parse_metric_kind(const std::string& name) {
+trace::MetricKind parse_metric_kind(std::string_view name) {
   if (name == trace::metric_kind_name(trace::MetricKind::kCounter)) {
     return trace::MetricKind::kCounter;
   }
@@ -73,10 +74,86 @@ trace::MetricKind parse_metric_kind(const std::string& name) {
   return trace::MetricKind::kCounter;  // unreachable
 }
 
+/// The members parse_jsonl resolves, event-line keys first and in the order
+/// write_jsonl emits them, so the lookup scan usually ends early.
+enum Field : std::size_t {
+  kType,
+  kKind,
+  kSeq,
+  kEpoch,
+  kRank,
+  kPeer,
+  kTag,
+  kTModel,
+  kA0,
+  kA1,
+  kTWall,
+  kVersion,
+  kNumRanks,
+  kDroppedEvents,
+  kRun,
+  kName,
+  kMetricKind,
+  kPerRank,
+  kNumFields
+};
+
+constexpr std::array<std::string_view, kNumFields> kFieldNames = {
+    "type", "kind", "seq", "epoch", "rank", "peer", "tag", "t_model", "a0",
+    "a1", "t_wall", "version", "num_ranks", "dropped_events", "run", "name",
+    "metric_kind", "per_rank"};
+
+/// One JSONL line's members, read without a JsonValue tree. Each field
+/// holds the last value its key had (duplicate keys: last wins); unknown
+/// keys are parsed just as strictly, then dropped. Type checks happen when
+/// a field is resolved, so the line's members may come in any order.
+class LineFields {
+ public:
+  void read(std::string_view line) {
+    present_.fill(false);
+    util::JsonObjectReader reader(line);
+    std::string_view key;
+    std::size_t hint = 0;
+    while (reader.next(key)) {
+      // Keys usually come in kFieldNames order: try the slot after the
+      // last hit before scanning the table.
+      std::size_t f = hint;
+      if (f >= kNumFields || kFieldNames[f] != key) {
+        f = 0;
+        while (f < kNumFields && kFieldNames[f] != key) ++f;
+      }
+      hint = f + 1;
+      if (f == kNumFields) {
+        reader.value(ignored_);
+        continue;
+      }
+      reader.value(fields_[f]);
+      present_[f] = true;
+    }
+  }
+
+  /// nullptr when the line has no such member.
+  const JsonField* find(Field f) const {
+    return present_[f] ? &fields_[f] : nullptr;
+  }
+
+  const JsonField& at(Field f) const {
+    DSOUTH_CHECK_MSG(present_[f], "JSON object has no member '"
+                                      << kFieldNames[f] << "'");
+    return fields_[f];
+  }
+
+ private:
+  std::array<JsonField, kNumFields> fields_;
+  std::array<bool, kNumFields> present_{};
+  JsonField ignored_;
+};
+
 }  // namespace
 
 std::vector<RunTrace> parse_jsonl(std::string_view text) {
   std::vector<RunTrace> runs;
+  LineFields v;
   std::size_t pos = 0;
   std::size_t line_no = 0;
   while (pos < text.size()) {
@@ -88,29 +165,31 @@ std::vector<RunTrace> parse_jsonl(std::string_view text) {
     // Skip blank lines (a concatenation of captures may leave them).
     bool blank = true;
     for (char c : line) {
-      if (c != ' ' && c != '\t' && c != '\r') blank = false;
+      if (c != ' ' && c != '\t' && c != '\r') {
+        blank = false;
+        break;
+      }
     }
     if (blank) continue;
 
-    JsonValue v;
     try {
-      v = util::parse_json(line);
+      v.read(line);
     } catch (const util::CheckError& e) {
       DSOUTH_CHECK_MSG(false, "JSONL trace line " << line_no << ": "
                                                   << e.what());
     }
-    const std::string& type = v.at("type").as_string();
+    const std::string_view type = v.at(kType).as_string();
     if (type == "header") {
       RunTrace run;
-      run.version = static_cast<int>(v.at("version").as_int());
+      run.version = static_cast<int>(v.at(kVersion).as_int());
       DSOUTH_CHECK_MSG(
           run.version >= kMinVersion && run.version <= kMaxVersion,
           "JSONL trace: unsupported schema version " << run.version);
-      run.num_ranks = static_cast<int>(v.at("num_ranks").as_int());
+      run.num_ranks = static_cast<int>(v.at(kNumRanks).as_int());
       DSOUTH_CHECK(run.num_ranks > 0);
       run.dropped_events =
-          static_cast<std::uint64_t>(v.at("dropped_events").as_int());
-      if (const JsonValue* label = v.find("run")) {
+          static_cast<std::uint64_t>(v.at(kDroppedEvents).as_int());
+      if (const JsonField* label = v.find(kRun)) {
         run.label = label->as_string();
       }
       runs.push_back(std::move(run));
@@ -123,28 +202,28 @@ std::vector<RunTrace> parse_jsonl(std::string_view text) {
     RunTrace& run = runs.back();
     if (type == "event") {
       trace::Event e;
-      e.kind = parse_kind(v.at("kind").as_string());
-      e.seq = static_cast<std::uint64_t>(v.at("seq").as_int());
-      e.epoch = static_cast<std::uint64_t>(v.at("epoch").as_int());
-      e.rank = static_cast<std::int32_t>(v.at("rank").as_int());
-      if (const JsonValue* peer = v.find("peer")) {
+      e.kind = parse_kind(v.at(kKind).as_string());
+      e.seq = static_cast<std::uint64_t>(v.at(kSeq).as_int());
+      e.epoch = static_cast<std::uint64_t>(v.at(kEpoch).as_int());
+      e.rank = static_cast<std::int32_t>(v.at(kRank).as_int());
+      if (const JsonField* peer = v.find(kPeer)) {
         e.peer = static_cast<std::int32_t>(peer->as_int());
       }
-      if (const JsonValue* tag = v.find("tag")) {
+      if (const JsonField* tag = v.find(kTag)) {
         e.tag = static_cast<std::int32_t>(tag->as_int());
       }
-      e.t_model = v.at("t_model").as_number();
-      e.a0 = v.at("a0").as_number();
-      e.a1 = v.at("a1").as_number();
-      if (const JsonValue* wall = v.find("t_wall")) {
+      e.t_model = v.at(kTModel).as_number();
+      e.a0 = v.at(kA0).as_number();
+      e.a1 = v.at(kA1).as_number();
+      if (const JsonField* wall = v.find(kTWall)) {
         e.t_wall = wall->as_number();
       }
       run.events.push_back(e);
     } else if (type == "metric") {
       MetricSeries m;
-      m.name = v.at("name").as_string();
-      m.kind = parse_metric_kind(v.at("metric_kind").as_string());
-      const auto& slots = v.at("per_rank").as_array();
+      m.name = v.at(kName).as_string();
+      m.kind = parse_metric_kind(v.at(kMetricKind).as_string());
+      const auto& slots = v.at(kPerRank).as_array();
       DSOUTH_CHECK_MSG(
           slots.size() == static_cast<std::size_t>(run.num_ranks),
           "JSONL trace: metric '" << m.name << "' has " << slots.size()
@@ -172,9 +251,22 @@ std::vector<RunTrace> parse_jsonl(std::string_view text) {
 std::vector<RunTrace> read_jsonl_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   DSOUTH_CHECK_MSG(in.good(), "cannot open trace file '" << path << "'");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return parse_jsonl(buf.str());
+  std::string text;
+  const std::streamoff size = in.seekg(0, std::ios::end).tellg();
+  if (size >= 0) {
+    // One buffer sized from the file, filled by one read.
+    text.resize(static_cast<std::size_t>(size));
+    in.seekg(0);
+    in.read(text.data(), static_cast<std::streamsize>(size));
+    DSOUTH_CHECK_MSG(in.gcount() == static_cast<std::streamsize>(size),
+                     "cannot read trace file '" << path << "'");
+  } else {
+    // A pipe has no size to take.
+    in.clear();
+    text.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  return parse_jsonl(text);
 }
 
 }  // namespace dsouth::analysis

@@ -44,11 +44,13 @@ struct RunTrace {
 RunTrace from_trace_log(const trace::TraceLog& log, std::string label);
 
 /// Parse a JSON Lines capture (possibly holding several runs — one header
-/// line each, see docs/observability.md). Unknown event kinds or a header
-/// version this build does not know are rejected with CheckError; events
-/// lacking optional fields (`peer`, `tag`, `t_wall`) get the in-memory
-/// defaults, so parse(write_jsonl(log)) == from_trace_log(log) field for
-/// field (minus the non-deterministic wall clock).
+/// line each, see docs/observability.md). Each non-blank line must be one
+/// strict JSON object; its members may come in any order, a duplicate key
+/// keeps its last value, and unknown keys are ignored. Unknown event kinds
+/// or a header version this build does not know are rejected with
+/// CheckError; events lacking optional fields (`peer`, `tag`, `t_wall`) get
+/// the in-memory defaults, so parse(write_jsonl(log)) == from_trace_log(log)
+/// field for field (minus the non-deterministic wall clock).
 std::vector<RunTrace> parse_jsonl(std::string_view text);
 
 /// parse_jsonl over a file's contents.

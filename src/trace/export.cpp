@@ -1,52 +1,81 @@
 #include "trace/export.hpp"
 
+#include <charconv>
 #include <ostream>
+#include <string_view>
 
 #include "util/error.hpp"
 #include "util/json.hpp"
 
 namespace dsouth::trace {
 
+using util::append_json_escaped;
 using util::append_json_number;
-using util::json_escape;
 
 namespace {
 
-void append_kv(std::string& out, const char* key, double v) {
-  out += "\"";
+/// Both writers append their output to one reused buffer and hand it to
+/// the stream in chunks of about this size, not a `<<` per line.
+constexpr std::size_t kChunkBytes = std::size_t{64} << 10;
+
+void flush(std::ostream& out, std::string& buf) {
+  out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+  buf.clear();
+}
+
+void flush_if_full(std::ostream& out, std::string& buf) {
+  if (buf.size() >= kChunkBytes) flush(out, buf);
+}
+
+void append_key(std::string& out, std::string_view key) {
+  out += '"';
   out += key;
   out += "\":";
+}
+
+void append_kv(std::string& out, std::string_view key, double v) {
+  append_key(out, key);
   append_json_number(out, v);
 }
 
-void append_kv(std::string& out, const char* key, std::uint64_t v) {
-  out += "\"";
-  out += key;
-  out += "\":";
-  out += std::to_string(v);
+template <typename Int>
+void append_int_kv(std::string& out, std::string_view key, Int v) {
+  append_key(out, key);
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
-void append_kv(std::string& out, const char* key, int v) {
-  out += "\"";
-  out += key;
-  out += "\":";
-  out += std::to_string(v);
+void append_kv(std::string& out, std::string_view key, std::uint64_t v) {
+  append_int_kv(out, key, v);
 }
 
-void append_kv(std::string& out, const char* key, const std::string& v) {
-  out += "\"";
-  out += key;
-  out += "\":\"";
-  out += json_escape(v);
-  out += "\"";
+void append_kv(std::string& out, std::string_view key, int v) {
+  append_int_kv(out, key, v);
+}
+
+/// A string value, JSON-escaped.
+void append_kv(std::string& out, std::string_view key, std::string_view v) {
+  append_key(out, key);
+  out += '"';
+  append_json_escaped(out, v);
+  out += '"';
+}
+
+/// An event or metric kind name: a plain identifier, so it is emitted
+/// as is (escaping would not change it).
+void append_name_kv(std::string& out, std::string_view key, const char* name) {
+  append_key(out, key);
+  out += '"';
+  out += name;
+  out += '"';
 }
 
 }  // namespace
 
 void write_jsonl(std::ostream& out, const TraceLog& log,
                  const TraceExportOptions& opt) {
-  std::string line;
-  line.reserve(256);
+  std::string buf;
+  buf.reserve(kChunkBytes + 4096);
 
   // Version history: 1 = PR-2 schema (put/fence/relax/absorb);
   // 2 = adds "compute" events (flops charged via Runtime::add_flops) and
@@ -67,72 +96,72 @@ void write_jsonl(std::ostream& out, const TraceLog& log,
     if (e.kind == EventKind::kHop) has_hop_events = true;
     if (e.kind == EventKind::kElastic) has_elastic_events = true;
   }
-  line = has_elastic_events   ? "{\"type\":\"header\",\"version\":6,"
+  buf += has_elastic_events   ? "{\"type\":\"header\",\"version\":6,"
          : has_hop_events     ? "{\"type\":\"header\",\"version\":5,"
          : has_deliver_events ? "{\"type\":\"header\",\"version\":4,"
          : has_fault_events   ? "{\"type\":\"header\",\"version\":3,"
                               : "{\"type\":\"header\",\"version\":2,";
-  append_kv(line, "num_ranks", log.num_ranks);
-  line += ",";
-  append_kv(line, "events", static_cast<std::uint64_t>(log.events.size()));
-  line += ",";
-  append_kv(line, "dropped_events", log.dropped_events);
+  append_kv(buf, "num_ranks", log.num_ranks);
+  buf += ',';
+  append_kv(buf, "events", static_cast<std::uint64_t>(log.events.size()));
+  buf += ',';
+  append_kv(buf, "dropped_events", log.dropped_events);
   if (!opt.run_label.empty()) {
-    line += ",";
-    append_kv(line, "run", opt.run_label);
+    buf += ',';
+    append_kv(buf, "run", opt.run_label);
   }
-  line += "}\n";
-  out << line;
+  buf += "}\n";
 
   for (const Event& e : log.events) {
-    line = "{\"type\":\"event\",";
-    append_kv(line, "kind", std::string(event_kind_name(e.kind)));
-    line += ",";
-    append_kv(line, "seq", e.seq);
-    line += ",";
-    append_kv(line, "epoch", e.epoch);
-    line += ",";
-    append_kv(line, "rank", e.rank);
+    buf += "{\"type\":\"event\",";
+    append_name_kv(buf, "kind", event_kind_name(e.kind));
+    buf += ',';
+    append_kv(buf, "seq", e.seq);
+    buf += ',';
+    append_kv(buf, "epoch", e.epoch);
+    buf += ',';
+    append_kv(buf, "rank", e.rank);
     if (e.peer >= 0) {
-      line += ",";
-      append_kv(line, "peer", e.peer);
+      buf += ',';
+      append_kv(buf, "peer", e.peer);
     }
     if (e.tag >= 0) {
-      line += ",";
-      append_kv(line, "tag", e.tag);
+      buf += ',';
+      append_kv(buf, "tag", e.tag);
     }
-    line += ",";
-    append_kv(line, "t_model", e.t_model);
-    line += ",";
-    append_kv(line, "a0", e.a0);
-    line += ",";
-    append_kv(line, "a1", e.a1);
+    buf += ',';
+    append_kv(buf, "t_model", e.t_model);
+    buf += ',';
+    append_kv(buf, "a0", e.a0);
+    buf += ',';
+    append_kv(buf, "a1", e.a1);
     if (opt.include_wall_clock) {
-      line += ",";
-      append_kv(line, "t_wall", e.t_wall);
+      buf += ',';
+      append_kv(buf, "t_wall", e.t_wall);
     }
-    line += "}\n";
-    out << line;
+    buf += "}\n";
+    flush_if_full(out, buf);
   }
 
   const MetricsRegistry& m = log.metrics;
   for (std::size_t i = 0; i < m.size(); ++i) {
     const auto id = static_cast<MetricId>(i);
-    line = "{\"type\":\"metric\",";
-    append_kv(line, "name", m.name(id));
-    line += ",";
-    append_kv(line, "metric_kind", std::string(metric_kind_name(m.kind(id))));
-    line += ",";
-    append_kv(line, "total", m.total(id));
-    line += ",\"per_rank\":[";
+    buf += "{\"type\":\"metric\",";
+    append_kv(buf, "name", m.name(id));
+    buf += ',';
+    append_name_kv(buf, "metric_kind", metric_kind_name(m.kind(id)));
+    buf += ',';
+    append_kv(buf, "total", m.total(id));
+    buf += ",\"per_rank\":[";
     const auto& slots = m.per_rank(id);
     for (std::size_t r = 0; r < slots.size(); ++r) {
-      if (r) line += ",";
-      append_json_number(line, slots[r]);
+      if (r) buf += ',';
+      append_json_number(buf, slots[r]);
     }
-    line += "]}\n";
-    out << line;
+    buf += "]}\n";
+    flush_if_full(out, buf);
   }
+  flush(out, buf);
 }
 
 // ---------------------------------------------------------------------------
@@ -140,18 +169,22 @@ void write_jsonl(std::ostream& out, const TraceLog& log,
 // ---------------------------------------------------------------------------
 
 ChromeTraceWriter::ChromeTraceWriter(std::ostream& out) : out_(&out) {
-  *out_ << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  buf_.reserve(kChunkBytes + 4096);
+  buf_ += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
 }
 
 ChromeTraceWriter::~ChromeTraceWriter() {
   if (!finished_) finish();
 }
 
-void ChromeTraceWriter::emit(const std::string& json_object) {
-  if (any_event_) *out_ << ",";
-  *out_ << "\n" << json_object;
+std::string& ChromeTraceWriter::begin_event() {
+  if (any_event_) buf_ += ',';
+  buf_ += '\n';
   any_event_ = true;
+  return buf_;
 }
+
+void ChromeTraceWriter::end_event() { flush_if_full(*out_, buf_); }
 
 void ChromeTraceWriter::add_run(const TraceLog& log,
                                 const TraceExportOptions& opt) {
@@ -159,134 +192,132 @@ void ChromeTraceWriter::add_run(const TraceLog& log,
   const int pid = next_pid_++;
   const int runtime_tid = log.num_ranks;  // synthetic lane for fences
 
-  std::string line;
-  line.reserve(256);
-
   // Process / runtime-lane names so Perfetto labels the run.
-  line = "{\"name\":\"process_name\",\"ph\":\"M\",";
-  append_kv(line, "pid", pid);
-  line += ",\"args\":{";
-  append_kv(line, "name",
-            opt.run_label.empty() ? std::string("traced run")
-                                  : opt.run_label);
-  line += "}}";
-  emit(line);
-  line = "{\"name\":\"thread_name\",\"ph\":\"M\",";
-  append_kv(line, "pid", pid);
-  line += ",";
-  append_kv(line, "tid", runtime_tid);
-  line += ",\"args\":{\"name\":\"runtime (fences)\"}}";
-  emit(line);
+  std::string& out = begin_event();
+  out += "{\"name\":\"process_name\",\"ph\":\"M\",";
+  append_kv(out, "pid", pid);
+  out += ",\"args\":{";
+  append_kv(out, "name",
+            opt.run_label.empty() ? std::string_view("traced run")
+                                  : std::string_view(opt.run_label));
+  out += "}}";
+  end_event();
+  begin_event();
+  out += "{\"name\":\"thread_name\",\"ph\":\"M\",";
+  append_kv(out, "pid", pid);
+  out += ',';
+  append_kv(out, "tid", runtime_tid);
+  out += ",\"args\":{\"name\":\"runtime (fences)\"}}";
+  end_event();
 
   for (const Event& e : log.events) {
     const bool fence = e.kind == EventKind::kFence;
-    // clear()+append instead of assignment: GCC 12's -Wrestrict misfires
-    // on short const-char* assignments to a loop-carried string.
-    line.clear();
-    line += "{";
-    append_kv(line, "name", std::string(event_kind_name(e.kind)));
+    begin_event();
+    out += '{';
+    append_name_kv(out, "name", event_kind_name(e.kind));
     // Instant events, thread-scoped for rank events and process-scoped for
     // fences (Chrome requires a scope for ph:"i").
-    line += fence ? ",\"ph\":\"i\",\"s\":\"p\"," : ",\"ph\":\"i\",\"s\":\"t\",";
-    append_kv(line, "pid", pid);
-    line += ",";
-    append_kv(line, "tid", fence ? runtime_tid : static_cast<int>(e.rank));
-    line += ",";
-    append_kv(line, "ts", e.t_model * 1e6);  // Chrome ts is microseconds
-    line += ",\"args\":{";
-    append_kv(line, "epoch", e.epoch);
-    line += ",";
-    append_kv(line, "seq", e.seq);
+    out += fence ? ",\"ph\":\"i\",\"s\":\"p\"," : ",\"ph\":\"i\",\"s\":\"t\",";
+    append_kv(out, "pid", pid);
+    out += ',';
+    append_kv(out, "tid", fence ? runtime_tid : static_cast<int>(e.rank));
+    out += ',';
+    append_kv(out, "ts", e.t_model * 1e6);  // Chrome ts is microseconds
+    out += ",\"args\":{";
+    append_kv(out, "epoch", e.epoch);
+    out += ',';
+    append_kv(out, "seq", e.seq);
     switch (e.kind) {
       case EventKind::kPut:
-        line += ",";
-        append_kv(line, "dest", static_cast<int>(e.peer));
-        line += ",";
-        append_kv(line, "tag", static_cast<int>(e.tag));
-        line += ",";
-        append_kv(line, "payload_doubles", e.a0);
-        line += ",";
-        append_kv(line, "bytes", e.a1);
+        out += ',';
+        append_kv(out, "dest", static_cast<int>(e.peer));
+        out += ',';
+        append_kv(out, "tag", static_cast<int>(e.tag));
+        out += ',';
+        append_kv(out, "payload_doubles", e.a0);
+        out += ',';
+        append_kv(out, "bytes", e.a1);
         break;
       case EventKind::kFence:
-        line += ",";
-        append_kv(line, "epoch_seconds", e.a0);
-        line += ",";
-        append_kv(line, "epoch_msgs", e.a1);
+        out += ',';
+        append_kv(out, "epoch_seconds", e.a0);
+        out += ',';
+        append_kv(out, "epoch_msgs", e.a1);
         break;
       case EventKind::kRelax:
-        line += ",";
-        append_kv(line, "rows", e.a0);
-        line += ",";
-        append_kv(line, "new_norm2", e.a1);
+        out += ',';
+        append_kv(out, "rows", e.a0);
+        out += ',';
+        append_kv(out, "new_norm2", e.a1);
         break;
       case EventKind::kAbsorb:
-        line += ",";
-        append_kv(line, "msgs", e.a0);
-        line += ",";
-        append_kv(line, "payload_doubles", e.a1);
+        out += ',';
+        append_kv(out, "msgs", e.a0);
+        out += ',';
+        append_kv(out, "payload_doubles", e.a1);
         break;
       case EventKind::kCompute:
-        line += ",";
-        append_kv(line, "flops", e.a0);
+        out += ',';
+        append_kv(out, "flops", e.a0);
         break;
       case EventKind::kFault:
-        line += ",";
-        append_kv(line, "dest", static_cast<int>(e.peer));
-        line += ",";
-        append_kv(line, "action", static_cast<int>(e.tag));
-        line += ",";
-        append_kv(line, "msg_seq", e.a0);
-        line += ",";
-        append_kv(line, "detail", e.a1);
+        out += ',';
+        append_kv(out, "dest", static_cast<int>(e.peer));
+        out += ',';
+        append_kv(out, "action", static_cast<int>(e.tag));
+        out += ',';
+        append_kv(out, "msg_seq", e.a0);
+        out += ',';
+        append_kv(out, "detail", e.a1);
         break;
       case EventKind::kDeliver:
-        line += ",";
-        append_kv(line, "src", static_cast<int>(e.peer));
-        line += ",";
-        append_kv(line, "tag", static_cast<int>(e.tag));
-        line += ",";
-        append_kv(line, "staleness", e.a0);
-        line += ",";
-        append_kv(line, "payload_doubles", e.a1);
+        out += ',';
+        append_kv(out, "src", static_cast<int>(e.peer));
+        out += ',';
+        append_kv(out, "tag", static_cast<int>(e.tag));
+        out += ',';
+        append_kv(out, "staleness", e.a0);
+        out += ',';
+        append_kv(out, "payload_doubles", e.a1);
         break;
       case EventKind::kHop:
-        line += ",";
-        append_kv(line, "dest", static_cast<int>(e.peer));
-        line += ",";
-        append_kv(line, "hop", static_cast<int>(e.tag));
-        line += ",";
-        append_kv(line, "bytes", e.a0);
-        line += ",";
-        append_kv(line, "records", e.a1);
+        out += ',';
+        append_kv(out, "dest", static_cast<int>(e.peer));
+        out += ',';
+        append_kv(out, "hop", static_cast<int>(e.tag));
+        out += ',';
+        append_kv(out, "bytes", e.a0);
+        out += ',';
+        append_kv(out, "records", e.a1);
         break;
       case EventKind::kElastic:
-        line += ",";
-        append_kv(line, "action", static_cast<int>(e.tag));
-        line += ",";
-        append_kv(line, "detail0", e.a0);
-        line += ",";
-        append_kv(line, "detail1", e.a1);
+        out += ',';
+        append_kv(out, "action", static_cast<int>(e.tag));
+        out += ',';
+        append_kv(out, "detail0", e.a0);
+        out += ',';
+        append_kv(out, "detail1", e.a1);
         break;
     }
     if (opt.include_wall_clock) {
-      line += ",";
-      append_kv(line, "wall", e.t_wall);
+      out += ',';
+      append_kv(out, "wall", e.t_wall);
     }
-    line += "}}";
-    emit(line);
+    out += "}}";
+    end_event();
 
     // A counter track of per-epoch message volume — the ⟨m⟩ decay the
     // paper's argument is about, visible directly in Perfetto.
     if (fence) {
-      line = "{\"name\":\"epoch messages\",\"ph\":\"C\",";
-      append_kv(line, "pid", pid);
-      line += ",";
-      append_kv(line, "ts", e.t_model * 1e6);
-      line += ",\"args\":{";
-      append_kv(line, "msgs", e.a1);
-      line += "}}";
-      emit(line);
+      begin_event();
+      out += "{\"name\":\"epoch messages\",\"ph\":\"C\",";
+      append_kv(out, "pid", pid);
+      out += ',';
+      append_kv(out, "ts", e.t_model * 1e6);
+      out += ",\"args\":{";
+      append_kv(out, "msgs", e.a1);
+      out += "}}";
+      end_event();
     }
   }
 
@@ -295,59 +326,63 @@ void ChromeTraceWriter::add_run(const TraceLog& log,
   if (m.size() > 0) {
     const double ts_end =
         log.events.empty() ? 0.0 : log.events.back().t_model * 1e6;
-    line = "{\"name\":\"metrics\",\"ph\":\"i\",\"s\":\"p\",";
-    append_kv(line, "pid", pid);
-    line += ",";
-    append_kv(line, "tid", runtime_tid);
-    line += ",";
-    append_kv(line, "ts", ts_end);
-    line += ",\"args\":{";
+    begin_event();
+    out += "{\"name\":\"metrics\",\"ph\":\"i\",\"s\":\"p\",";
+    append_kv(out, "pid", pid);
+    out += ',';
+    append_kv(out, "tid", runtime_tid);
+    out += ',';
+    append_kv(out, "ts", ts_end);
+    out += ",\"args\":{";
     for (std::size_t i = 0; i < m.size(); ++i) {
       const auto id = static_cast<MetricId>(i);
-      if (i) line += ",";
-      line += "\"";
-      line += json_escape(m.name(id));
-      line += "\":";
-      append_json_number(line, m.total(id));
+      if (i) out += ',';
+      out += '"';
+      append_json_escaped(out, m.name(id));
+      out += "\":";
+      append_json_number(out, m.total(id));
     }
-    line += "}}";
-    emit(line);
+    out += "}}";
+    end_event();
   }
 }
 
 void ChromeTraceWriter::add_thread_name(int pid, int tid,
                                         const std::string& name) {
   DSOUTH_CHECK(!finished_);
-  std::string line = "{\"name\":\"thread_name\",\"ph\":\"M\",";
-  append_kv(line, "pid", pid);
-  line += ",";
-  append_kv(line, "tid", tid);
-  line += ",\"args\":{";
-  append_kv(line, "name", name);
-  line += "}}";
-  emit(line);
+  std::string& out = begin_event();
+  out += "{\"name\":\"thread_name\",\"ph\":\"M\",";
+  append_kv(out, "pid", pid);
+  out += ',';
+  append_kv(out, "tid", tid);
+  out += ",\"args\":{";
+  append_kv(out, "name", name);
+  out += "}}";
+  end_event();
 }
 
 void ChromeTraceWriter::add_span(int pid, int tid, const std::string& name,
                                  double ts_us, double dur_us) {
   DSOUTH_CHECK(!finished_);
-  std::string line = "{";
-  append_kv(line, "name", name);
-  line += ",\"ph\":\"X\",";
-  append_kv(line, "pid", pid);
-  line += ",";
-  append_kv(line, "tid", tid);
-  line += ",";
-  append_kv(line, "ts", ts_us);
-  line += ",";
-  append_kv(line, "dur", dur_us);
-  line += "}";
-  emit(line);
+  std::string& out = begin_event();
+  out += '{';
+  append_kv(out, "name", name);
+  out += ",\"ph\":\"X\",";
+  append_kv(out, "pid", pid);
+  out += ',';
+  append_kv(out, "tid", tid);
+  out += ',';
+  append_kv(out, "ts", ts_us);
+  out += ',';
+  append_kv(out, "dur", dur_us);
+  out += '}';
+  end_event();
 }
 
 void ChromeTraceWriter::finish() {
   DSOUTH_CHECK(!finished_);
-  *out_ << "\n]}\n";
+  buf_ += "\n]}\n";
+  flush(*out_, buf_);
   finished_ = true;
 }
 

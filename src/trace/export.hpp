@@ -65,9 +65,14 @@ class ChromeTraceWriter {
   void finish();
 
  private:
-  void emit(const std::string& json_object);
+  /// Starts the next trace event in buf_ (after its separator) and returns
+  /// buf_ for the caller to append the event object to.
+  std::string& begin_event();
+  /// Writes buf_ out once it holds a chunk's worth of events.
+  void end_event();
 
   std::ostream* out_;
+  std::string buf_;
   int next_pid_ = 0;
   bool any_event_ = false;
   bool finished_ = false;

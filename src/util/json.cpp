@@ -1,16 +1,46 @@
 #include "util/json.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <system_error>
 
 #include "util/error.hpp"
 
 namespace dsouth::util {
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
+namespace {
+
+/// strtod's value for the number token [first, last). std::from_chars gives
+/// the same correctly rounded result without a NUL-terminated copy; where it
+/// reports out of range (overflow, and underflow to zero or a subnormal)
+/// strtod itself decides, so those keep exactly strtod's ±inf / 0 /
+/// subnormal results.
+double parse_double(const char* first, const char* last) {
+  double v = 0.0;
+  const auto r = std::from_chars(first, last, v);
+  if (r.ec == std::errc::result_out_of_range) {
+    const std::string token(first, last);
+    return std::strtod(token.c_str(), nullptr);
+  }
+  DSOUTH_ASSERT(r.ec == std::errc{} && r.ptr == last);
+  return v;
+}
+
+/// JsonValue::as_int / JsonField::as_int: `v` checked to be integral and in
+/// int64 range (range first — converting an out-of-range double is UB).
+std::int64_t checked_int(double v) {
+  const bool in_range = v >= -0x1p63 && v < 0x1p63;
+  const auto i = in_range ? static_cast<std::int64_t>(v) : std::int64_t{0};
+  DSOUTH_CHECK_MSG(in_range && static_cast<double>(i) == v,
+                   "JSON number " << v << " is not an integer");
+  return i;
+}
+
+}  // namespace
+
+void append_json_escaped(std::string& out, std::string_view s) {
   for (unsigned char c : s) {
     switch (c) {
       case '"':
@@ -44,6 +74,12 @@ std::string json_escape(std::string_view s) {
         }
     }
   }
+}
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  append_json_escaped(out, s);
   return out;
 }
 
@@ -52,14 +88,28 @@ void append_json_number(std::string& out, double v) {
     out += "null";
     return;
   }
-  // Shortest %g form that round-trips the double exactly; 17 significant
-  // digits always do.
-  char buf[40];
-  for (int prec = 15; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
+  char buf[32];
+  // An integral |v| < 1e15 has at most 15 digits, so %.15g prints it
+  // exactly, as plain digits: what to_chars of the integer prints. -0.0
+  // stays on the %g path, which keeps its sign ("-0").
+  if (std::fabs(v) < 1e15) {
+    const auto i = static_cast<std::int64_t>(v);
+    if (static_cast<double>(i) == v && (i != 0 || !std::signbit(v))) {
+      out.append(buf, std::to_chars(buf, buf + sizeof(buf), i).ptr);
+      return;
+    }
   }
-  out += buf;
+  // Shortest %g form that round-trips the double exactly; 17 significant
+  // digits always do. to_chars with a precision prints what printf("%.*g")
+  // does.
+  char* end = buf;
+  for (int prec = 15; prec <= 17; ++prec) {
+    end = std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general,
+                        prec)
+              .ptr;
+    if (parse_double(buf, end) == v) break;
+  }
+  out.append(buf, end);
 }
 
 std::string json_number(double v) {
@@ -72,7 +122,7 @@ std::string json_quote(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 2);
   out += '"';
-  out += json_escape(s);
+  append_json_escaped(out, s);
   out += '"';
   return out;
 }
@@ -91,13 +141,7 @@ double JsonValue::as_number() const {
   return num_;
 }
 
-std::int64_t JsonValue::as_int() const {
-  const double v = as_number();
-  const auto i = static_cast<std::int64_t>(v);
-  DSOUTH_CHECK_MSG(static_cast<double>(i) == v,
-                   "JSON number " << v << " is not an integer");
-  return i;
-}
+std::int64_t JsonValue::as_int() const { return checked_int(as_number()); }
 
 const std::string& JsonValue::as_string() const {
   DSOUTH_CHECK_MSG(is_string(), "JSON value is not a string");
@@ -226,15 +270,22 @@ class Parser {
     return v;
   }
 
-  JsonValue parse_value() {
+  /// First byte of the next value (which must exist).
+  char peek() const {
     DSOUTH_CHECK_MSG(pos_ < text_.size(), "JSON: unexpected end of input");
-    switch (text_[pos_]) {
+    return text_[pos_];
+  }
+
+  JsonValue parse_value() {
+    switch (peek()) {
       case '{':
         return parse_object();
       case '[':
         return parse_array();
-      case '"':
-        return JsonValue::make_string(parse_string());
+      case '"': {
+        std::string buf;
+        return JsonValue::make_string(std::string(parse_string(buf)));
+      }
       case 't':
         expect_literal("true");
         return JsonValue::make_bool(true);
@@ -245,11 +296,10 @@ class Parser {
         expect_literal("null");
         return JsonValue::make_null();
       default:
-        return parse_number();
+        return JsonValue::make_number(parse_number());
     }
   }
 
- private:
   void skip_ws() {
     while (pos_ < text_.size()) {
       const char c = text_[pos_];
@@ -270,30 +320,97 @@ class Parser {
     pos_ += lit.size();
   }
 
+  /// The object grammar's one step, after the opening '{' (`first`) or
+  /// after a member's value: reads either the closing '}' (returns false)
+  /// or the next member's key and its ':' (returns true, positioned at the
+  /// value). Key storage as for parse_string.
+  bool next_member(bool& first, std::string_view& key, std::string& buf) {
+    skip_ws();
+    if (first) {
+      first = false;
+      if (pos_ < text_.size() && text_[pos_] == '}') {
+        ++pos_;
+        return false;
+      }
+    } else {
+      DSOUTH_CHECK_MSG(pos_ < text_.size(), "JSON: unterminated object");
+      if (text_[pos_] != ',') {
+        expect('}');
+        return false;
+      }
+      ++pos_;
+      skip_ws();
+    }
+    key = parse_string(buf);
+    skip_ws();
+    expect(':');
+    skip_ws();
+    return true;
+  }
+
+  /// A string token's contents: a view of the input when the string holds
+  /// no escapes, else decoded into `buf` and a view of `buf`.
+  std::string_view parse_string(std::string& buf) {
+    expect('"');
+    const std::size_t start = pos_;
+    while (true) {
+      DSOUTH_CHECK_MSG(pos_ < text_.size(), "JSON: unterminated string");
+      const unsigned char c = static_cast<unsigned char>(text_[pos_]);
+      if (c == '\\') break;
+      ++pos_;
+      if (c == '"') return text_.substr(start, pos_ - 1 - start);
+      DSOUTH_CHECK_MSG(c >= 0x20, "JSON: raw control character in string");
+    }
+    buf.assign(text_.data() + start, pos_ - start);
+    decode_escaped(buf);
+    return buf;
+  }
+
+  /// Validates a number token (RFC 8259 grammar) and returns its value,
+  /// ±inf when it overflows a double.
+  double parse_number() {
+    const std::size_t start = pos_;
+    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
+    auto digits = [&] {
+      std::size_t n = 0;
+      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
+        ++pos_;
+        ++n;
+      }
+      return n;
+    };
+    const std::size_t int_start = pos_;
+    DSOUTH_CHECK_MSG(digits() > 0,
+                     "JSON: malformed number at offset " << start);
+    // RFC 8259: the integer part is "0" or starts with a nonzero digit.
+    DSOUTH_CHECK_MSG(text_[int_start] != '0' || pos_ - int_start == 1,
+                     "JSON: leading zero in number at offset " << start);
+    if (pos_ < text_.size() && text_[pos_] == '.') {
+      ++pos_;
+      DSOUTH_CHECK_MSG(digits() > 0, "JSON: digits required after '.'");
+    }
+    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+      ++pos_;
+      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
+        ++pos_;
+      }
+      DSOUTH_CHECK_MSG(digits() > 0, "JSON: digits required in exponent");
+    }
+    return parse_double(text_.data() + start, text_.data() + pos_);
+  }
+
+ private:
   JsonValue parse_object() {
     expect('{');
     std::vector<std::pair<std::string, JsonValue>> members;
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return JsonValue::make_object(std::move(members));
+    bool first = true;
+    std::string_view key;
+    std::string buf;
+    while (next_member(first, key, buf)) {
+      std::string name(key);
+      members.emplace_back(std::move(name), parse_value());
     }
-    while (true) {
-      skip_ws();
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      skip_ws();
-      members.emplace_back(std::move(key), parse_value());
-      skip_ws();
-      DSOUTH_CHECK_MSG(pos_ < text_.size(), "JSON: unterminated object");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return JsonValue::make_object(std::move(members));
-    }
+    return JsonValue::make_object(std::move(members));
   }
 
   JsonValue parse_array() {
@@ -356,13 +473,13 @@ class Parser {
     return v;
   }
 
-  std::string parse_string() {
-    expect('"');
-    std::string out;
+  /// The rest of a string token from its first backslash, appended to
+  /// `out` decoded, through the closing quote.
+  void decode_escaped(std::string& out) {
     while (true) {
       DSOUTH_CHECK_MSG(pos_ < text_.size(), "JSON: unterminated string");
       const unsigned char c = static_cast<unsigned char>(text_[pos_++]);
-      if (c == '"') return out;
+      if (c == '"') return;
       if (c != '\\') {
         DSOUTH_CHECK_MSG(c >= 0x20,
                          "JSON: raw control character in string");
@@ -421,38 +538,6 @@ class Parser {
     }
   }
 
-  JsonValue parse_number() {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    auto digits = [&] {
-      std::size_t n = 0;
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
-        ++pos_;
-        ++n;
-      }
-      return n;
-    };
-    const std::size_t int_start = pos_;
-    DSOUTH_CHECK_MSG(digits() > 0,
-                     "JSON: malformed number at offset " << start);
-    // RFC 8259: the integer part is "0" or starts with a nonzero digit.
-    DSOUTH_CHECK_MSG(text_[int_start] != '0' || pos_ - int_start == 1,
-                     "JSON: leading zero in number at offset " << start);
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      ++pos_;
-      DSOUTH_CHECK_MSG(digits() > 0, "JSON: digits required after '.'");
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
-        ++pos_;
-      }
-      DSOUTH_CHECK_MSG(digits() > 0, "JSON: digits required in exponent");
-    }
-    const std::string token(text_.substr(start, pos_ - start));
-    return JsonValue::make_number(std::strtod(token.c_str(), nullptr));
-  }
-
   std::string_view text_;
   std::size_t pos_;
 };
@@ -472,6 +557,86 @@ JsonValue parse_json_prefix(std::string_view text, std::size_t& pos) {
   JsonValue v = p.parse_document();
   pos = p.pos();
   return v;
+}
+
+// ---------------------------------------------------------------------------
+// JsonField / JsonObjectReader
+// ---------------------------------------------------------------------------
+
+double JsonField::as_number() const {
+  DSOUTH_CHECK_MSG(kind_ == JsonValue::Kind::kNumber,
+                   "JSON value is not a number");
+  return num_;
+}
+
+std::int64_t JsonField::as_int() const { return checked_int(as_number()); }
+
+std::string_view JsonField::as_string() const {
+  DSOUTH_CHECK_MSG(kind_ == JsonValue::Kind::kString,
+                   "JSON value is not a string");
+  return escaped_ ? std::string_view(decoded_) : view_;
+}
+
+const std::vector<JsonValue>& JsonField::as_array() const {
+  DSOUTH_CHECK_MSG(kind_ == JsonValue::Kind::kArray,
+                   "JSON value is not an array");
+  return tree_.as_array();
+}
+
+JsonObjectReader::JsonObjectReader(std::string_view text) : text_(text) {
+  Parser p(text_, 0);
+  p.skip_ws();
+  p.expect('{');
+  pos_ = p.pos();
+}
+
+bool JsonObjectReader::next(std::string_view& key) {
+  Parser p(text_, pos_);
+  const bool more = p.next_member(first_, key, key_buf_);
+  if (!more) {
+    p.skip_ws();
+    DSOUTH_CHECK_MSG(p.pos() == text_.size(),
+                     "JSON: trailing garbage at offset " << p.pos());
+  }
+  pos_ = p.pos();
+  return more;
+}
+
+void JsonObjectReader::value(JsonField& out) {
+  using Kind = JsonValue::Kind;
+  Parser p(text_, pos_);
+  switch (p.peek()) {
+    case '{':
+    case '[':
+      out.tree_ = p.parse_value();
+      out.kind_ = out.tree_.kind();
+      break;
+    case '"': {
+      const std::string_view s = p.parse_string(out.decoded_);
+      out.kind_ = Kind::kString;
+      // parse_string views either the input or the buffer it decoded into.
+      out.escaped_ = s.data() == out.decoded_.data();
+      out.view_ = s;
+      break;
+    }
+    case 't':
+      p.expect_literal("true");
+      out.kind_ = Kind::kBool;
+      break;
+    case 'f':
+      p.expect_literal("false");
+      out.kind_ = Kind::kBool;
+      break;
+    case 'n':
+      p.expect_literal("null");
+      out.kind_ = Kind::kNull;
+      break;
+    default:
+      // Like JsonValue::make_number: a value that overflows reads as null.
+      out.num_ = p.parse_number();
+      out.kind_ = std::isfinite(out.num_) ? Kind::kNumber : Kind::kNull;
+  }
+  pos_ = p.pos();
 }
 
 }  // namespace dsouth::util

@@ -3,8 +3,9 @@
 /// \file json.hpp
 /// Minimal JSON support for the machine-readable outputs: emission helpers
 /// (used by the trace exporters and the bench `-json` records) and a small
-/// strict RFC 8259 parser (used by the analysis layer to read JSONL traces
-/// back, and by the round-trip tests).
+/// strict RFC 8259 parser, either building a JsonValue tree (parse_json) or
+/// pulling one object's members without a tree (JsonObjectReader, used by
+/// the analysis layer to read JSONL traces back).
 
 #include <cstdint>
 #include <string>
@@ -19,8 +20,12 @@ namespace dsouth::util {
 /// through byte-wise, so valid UTF-8 stays valid UTF-8.
 std::string json_escape(std::string_view s);
 
+/// json_escape appended to `out` (no temporary string).
+void append_json_escaped(std::string& out, std::string_view s);
+
 /// Append `v` to `out` as a JSON number token that round-trips the double
-/// exactly (the shortest of %.15g/%.16g/%.17g that parses back bit-equal).
+/// exactly (the shortest of %.15g/%.16g/%.17g that parses back bit-equal;
+/// integral |v| < 1e15 take a direct integer path that prints the same).
 /// Non-finite values — which JSON cannot represent — are emitted as `null`
 /// (and parse back as JsonValue null; callers that need NaN/Inf must carry
 /// them out of band).
@@ -92,8 +97,61 @@ class JsonValue {
 JsonValue parse_json(std::string_view text);
 
 /// Parse the first JSON document on `text` starting at `pos`; advances
-/// `pos` past it (whitespace included). The JSONL reader uses this
-/// line-by-line.
+/// `pos` past it (whitespace included).
 JsonValue parse_json_prefix(std::string_view text, std::size_t& pos);
+
+/// One member value read by JsonObjectReader. Literals, numbers and strings
+/// are decoded without building a JsonValue — a string with no escapes
+/// views the reader's input text, so it is valid while that text is —
+/// and arrays and objects are parsed into a JsonValue tree. Accessors throw
+/// CheckError on a kind mismatch, like JsonValue's. A true/false value
+/// reports only its kind.
+class JsonField {
+ public:
+  JsonValue::Kind kind() const { return kind_; }
+
+  double as_number() const;
+  /// as_number, checked to be integral and in int64 range.
+  std::int64_t as_int() const;
+  std::string_view as_string() const;
+  const std::vector<JsonValue>& as_array() const;
+
+ private:
+  friend class JsonObjectReader;
+
+  JsonValue::Kind kind_ = JsonValue::Kind::kNull;
+  double num_ = 0.0;
+  bool escaped_ = false;   // string value lives in decoded_, not view_
+  std::string_view view_;  // unescaped string value (views the input)
+  std::string decoded_;
+  JsonValue tree_;  // kArray / kObject
+};
+
+/// Pull reader over a text that must hold exactly one JSON object
+/// (whitespace around it allowed), with the same strict grammar as
+/// parse_json but no tree for the object itself:
+///
+///     JsonObjectReader r(text);
+///     std::string_view key;
+///     while (r.next(key)) r.value(field);
+///
+/// Every next() that returns true must be followed by one value() call.
+/// The key views the input text or the reader's own buffer and is valid
+/// until the next call to next(). Members come in document order,
+/// duplicates included; the final next() (returning false) also checks
+/// that nothing but whitespace follows the object.
+class JsonObjectReader {
+ public:
+  explicit JsonObjectReader(std::string_view text);
+
+  bool next(std::string_view& key);
+  void value(JsonField& out);
+
+ private:
+  std::string_view text_;
+  std::size_t pos_ = 0;
+  bool first_ = true;
+  std::string key_buf_;
+};
 
 }  // namespace dsouth::util
