@@ -3,6 +3,7 @@
 #include <array>
 #include <fstream>
 #include <iterator>
+#include <utility>
 
 #include "util/error.hpp"
 #include "util/json.hpp"
@@ -107,6 +108,18 @@ constexpr std::array<std::string_view, kNumFields> kFieldNames = {
 /// holds the last value its key had (duplicate keys: last wins); unknown
 /// keys are parsed just as strictly, then dropped. Type checks happen when
 /// a field is resolved, so the line's members may come in any order.
+/// The integer in `f`, narrowed to T. A value T cannot hold (an int32
+/// field past 2^31, a negative count or sequence number) is malformed and
+/// throws rather than wrapping.
+template <typename T>
+T narrow_int(const JsonField& f, std::string_view key) {
+  const std::int64_t v = f.as_int();
+  DSOUTH_CHECK_MSG(std::in_range<T>(v), "JSONL trace: \"" << key
+                                                           << "\" value " << v
+                                                           << " out of range");
+  return static_cast<T>(v);
+}
+
 class LineFields {
  public:
   void read(std::string_view line) {
@@ -181,14 +194,14 @@ std::vector<RunTrace> parse_jsonl(std::string_view text) {
     const std::string_view type = v.at(kType).as_string();
     if (type == "header") {
       RunTrace run;
-      run.version = static_cast<int>(v.at(kVersion).as_int());
+      run.version = narrow_int<int>(v.at(kVersion), "version");
       DSOUTH_CHECK_MSG(
           run.version >= kMinVersion && run.version <= kMaxVersion,
           "JSONL trace: unsupported schema version " << run.version);
-      run.num_ranks = static_cast<int>(v.at(kNumRanks).as_int());
+      run.num_ranks = narrow_int<int>(v.at(kNumRanks), "num_ranks");
       DSOUTH_CHECK(run.num_ranks > 0);
       run.dropped_events =
-          static_cast<std::uint64_t>(v.at(kDroppedEvents).as_int());
+          narrow_int<std::uint64_t>(v.at(kDroppedEvents), "dropped_events");
       if (const JsonField* label = v.find(kRun)) {
         run.label = label->as_string();
       }
@@ -203,14 +216,14 @@ std::vector<RunTrace> parse_jsonl(std::string_view text) {
     if (type == "event") {
       trace::Event e;
       e.kind = parse_kind(v.at(kKind).as_string());
-      e.seq = static_cast<std::uint64_t>(v.at(kSeq).as_int());
-      e.epoch = static_cast<std::uint64_t>(v.at(kEpoch).as_int());
-      e.rank = static_cast<std::int32_t>(v.at(kRank).as_int());
+      e.seq = narrow_int<std::uint64_t>(v.at(kSeq), "seq");
+      e.epoch = narrow_int<std::uint64_t>(v.at(kEpoch), "epoch");
+      e.rank = narrow_int<std::int32_t>(v.at(kRank), "rank");
       if (const JsonField* peer = v.find(kPeer)) {
-        e.peer = static_cast<std::int32_t>(peer->as_int());
+        e.peer = narrow_int<std::int32_t>(*peer, "peer");
       }
       if (const JsonField* tag = v.find(kTag)) {
-        e.tag = static_cast<std::int32_t>(tag->as_int());
+        e.tag = narrow_int<std::int32_t>(*tag, "tag");
       }
       e.t_model = v.at(kTModel).as_number();
       e.a0 = v.at(kA0).as_number();

@@ -148,34 +148,29 @@ BatchRunResult run_distributed_batch(DistMethod method,
   // Demultiplexing absorb: every window payload is a tenant frame; walk
   // it and hand each entry to its tenant's ordinary absorb path — the
   // per-tenant record streams (and so the per-tenant floating-point
-  // schedules) are exactly the solo ones. A frame that fails structural
-  // validation under fault injection is dropped whole; entries already
-  // dispatched stay applied (each rides its own sequenced envelope, so
-  // per-tenant idempotence covers the partial application).
+  // schedules) are exactly the solo ones. Under fault injection a frame
+  // that fails structural validation (a tenant id outside the batch
+  // included) is dropped whole; entries already dispatched stay applied
+  // (each rides its own sequenced envelope, so per-tenant idempotence
+  // covers the partial application). Without a fault schedule a malformed
+  // frame is a bug and the DecodeError propagates.
   const auto demux_absorb = [&](simmpi::RankContext& ctx, int p) {
     const RankData& rd = layout.rank(p);
     for (const auto& msg : ctx.window()) {
       const int nbi = rd.neighbor_index(msg.source);
       DSOUTH_CHECK_MSG(nbi >= 0, "message from non-neighbor " << msg.source);
-      if (h.fault_schedule()) {
-        try {
-          wire::for_each_tenant(
-              msg.payload, [&](const wire::TenantEntry& e) {
-                DSOUTH_CHECK(e.tenant >= 0 &&
-                             static_cast<std::size_t>(e.tenant) < batch);
-                h.solver(e.tenant).absorb_payload(
-                    ctx, p, static_cast<std::size_t>(nbi), e.body);
-              });
-        } catch (const wire::DecodeError&) {
-          ++rejected_per_rank[static_cast<std::size_t>(p)];
-        }
-      } else {
+      try {
         wire::for_each_tenant(msg.payload, [&](const wire::TenantEntry& e) {
-          DSOUTH_CHECK(e.tenant >= 0 &&
-                       static_cast<std::size_t>(e.tenant) < batch);
+          if (static_cast<std::size_t>(e.tenant) >= batch) {
+            throw wire::DecodeError(wire::DecodeErrorKind::kBadType, 0,
+                                    "tenant id outside the batch");
+          }
           h.solver(e.tenant).absorb_payload(
               ctx, p, static_cast<std::size_t>(nbi), e.body);
         });
+      } catch (const wire::DecodeError&) {
+        if (!h.fault_schedule()) throw;
+        ++rejected_per_rank[static_cast<std::size_t>(p)];
       }
     }
     // One absorb event per rank for the shared window — frames are shared

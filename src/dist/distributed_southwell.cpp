@@ -12,7 +12,8 @@ namespace dsouth::dist {
 DistributedSouthwell::DistributedSouthwell(
     const DistLayout& layout, simmpi::Runtime& rt, std::span<const value_t> b,
     std::span<const value_t> x0, const DistributedSouthwellOptions& opt)
-    : DistStationarySolver(layout, rt, b, x0), opt_(opt) {
+    : DistStationarySolver(layout, rt, wire::Family::kEstimate, b, x0),
+      opt_(opt) {
   const int nranks = layout.num_ranks();
   gamma2_.resize(static_cast<std::size_t>(nranks));
   gtilde2_.resize(static_cast<std::size_t>(nranks));
@@ -158,15 +159,10 @@ void DistributedSouthwell::rank_relax(simmpi::RankContext& ctx, int p) {
     if (g > norm2) return;  // a Γ estimate says a neighbor is worse off
   }
 
-  auto& xp = x_[up];
-  auto& rp = r_[up];
-  auto& snap = scratch_[up];
-  snap.assign(xp.begin(), xp.end());  // snapshot for Δx
-  const double flops = local_gauss_seidel_sweep(rd, xp, rp);
-  ctx.add_flops(flops);
-  ++rank_stats_[up].active_ranks;
-  rank_stats_[up].relaxations += rd.num_rows();
-  trace_relax(ctx, rd.num_rows());
+  relax_subdomain(ctx, p);
+  const auto& xp = x_[up];
+  const auto& rp = r_[up];
+  const auto& snap = scratch_[up];  // pre-sweep x
   const value_t norm2_new = local_norm_sq(rp);
   const auto prof_encode = prof_phase(p, prof::PhaseId::kEncode);
   auto& dz = dz_scratch_[up];
@@ -280,38 +276,16 @@ void DistributedSouthwell::rank_correct(simmpi::RankContext& ctx, int p,
   ch.flush(ctx);
 }
 
-void DistributedSouthwell::absorb_payload(simmpi::RankContext& ctx, int p,
-                                          std::size_t nbi,
-                                          std::span<const double> payload) {
+void DistributedSouthwell::absorb_record(simmpi::RankContext& ctx, int p,
+                                         std::size_t nbi,
+                                         const wire::Record& rec) {
   const auto up = static_cast<std::size_t>(p);
-  const auto& nb = layout_->rank(p).neighbors[nbi];
-  if (resilient()) {
-    const auto body = resil_accept(ctx, p, nbi, payload);
-    if (body.empty()) return;
-    const auto rec = wire::decode_record(wire::Family::kEstimate, body,
-                                         nb.ghost_rows.size());
-    if (rec.type == wire::RecordType::kSolveUpdate) {
-      resil_apply_boundary_x(ctx, p, nbi, rec.dx);
-    }
-    std::copy(rec.rb.begin(), rec.rb.end(), ghost_[up][nbi].begin());
-    gamma2_[up][nbi] = rec.norm2;
-    gtilde2_[up][nbi] = rec.gamma2;
-    return;
+  if (rec.type == wire::RecordType::kSolveUpdate) {
+    absorb_boundary_dx(ctx, p, nbi, rec.dx);
   }
-  // Decode against the channel's receive width (the codec validates
-  // every length); a frame yields each coalesced record in send order.
-  wire::for_each_record(
-      wire::Family::kEstimate, payload, nb.ghost_rows.size(),
-      [&](const wire::Record& rec) {
-        if (rec.type == wire::RecordType::kSolveUpdate) {
-          // SOLVE: Δx + exact boundary residuals.
-          apply_incoming_delta(ctx, nb, rec.dx);
-        }
-        // Both types carry the sender's exact boundary residuals.
-        std::copy(rec.rb.begin(), rec.rb.end(), ghost_[up][nbi].begin());
-        gamma2_[up][nbi] = rec.norm2;
-        gtilde2_[up][nbi] = rec.gamma2;
-      });
+  std::copy(rec.rb.begin(), rec.rb.end(), ghost_[up][nbi].begin());
+  gamma2_[up][nbi] = rec.norm2;
+  gtilde2_[up][nbi] = rec.gamma2;
 }
 
 void DistributedSouthwell::begin_step() {
@@ -331,18 +305,6 @@ void DistributedSouthwell::rank_send(int e, simmpi::RankContext& ctx, int p) {
     return;
   }
   // ---- Epoch B: deadlock avoidance — correct only overestimates of us.
-  if (opt_.enable_corrections) rank_correct(ctx, p, heartbeat_);
-}
-
-void DistributedSouthwell::rank_async_send(simmpi::RankContext& ctx, int p) {
-  // Relax where ‖r_p‖² is maximal among the (staleness-bounded) Γ
-  // estimates, and fold the deadlock-avoidance corrections into the SAME
-  // epoch. Ordering keeps Γ̃ correct: rank_relax sets Γ̃[q] = norm2_new
-  // for every neighbor it messaged, so rank_correct right after only
-  // fires for genuinely uncorrected overestimates. Out-of-order arrival
-  // is handled by the resilient absorb path (sequence gating +
-  // absolute-x encoding) the driver enables for asynchronous runs.
-  rank_relax(ctx, p);
   if (opt_.enable_corrections) rank_correct(ctx, p, heartbeat_);
 }
 

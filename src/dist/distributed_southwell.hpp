@@ -75,13 +75,13 @@ class DistributedSouthwell final : public DistStationarySolver {
 
   // Stepping hooks (solver_base.hpp): begin_step advances the heartbeat
   // clock (epoch A never reads it, so the pre-epoch advance matches the
-  // old between-epochs one); epoch 0 relaxes, epoch 1 corrects.
+  // old between-epochs one); epoch 0 relaxes, epoch 1 corrects. The
+  // event-driven step runs both in one epoch: the relax sets Γ̃[q] to the
+  // new norm for every neighbor it messaged, so the correction right after
+  // fires only for genuinely uncorrected overestimates.
   int step_epochs() const override { return 2; }
   void begin_step() override;
   void rank_send(int e, simmpi::RankContext& ctx, int p) override;
-  void rank_async_send(simmpi::RankContext& ctx, int p) override;
-  void absorb_payload(simmpi::RankContext& ctx, int p, std::size_t nbi,
-                      std::span<const double> payload) override;
 
   /// Repartition recovery re-seeds Γ/Γ̃/z exactly (setup exchange) and
   /// restarts the correction/deferral counters.
@@ -93,6 +93,11 @@ class DistributedSouthwell final : public DistStationarySolver {
   }
 
  protected:
+  // Both record types carry the sender's exact boundary residuals and
+  // norms; only SolveUpdate carries boundary Δx.
+  void absorb_record(simmpi::RankContext& ctx, int p, std::size_t nbi,
+                     const wire::Record& rec) override;
+
   // Checkpoint stream: step_count, heartbeat, then per rank — the two
   // protocol counters, Γ², Γ̃², the z ghost layers, and (send_threshold
   // runs only) the pending Δx accumulators.

@@ -10,7 +10,7 @@ ParallelSouthwell::ParallelSouthwell(const DistLayout& layout,
                                      std::span<const value_t> b,
                                      std::span<const value_t> x0,
                                      bool explicit_residual_updates)
-    : DistStationarySolver(layout, rt, b, x0),
+    : DistStationarySolver(layout, rt, wire::Family::kNorm, b, x0),
       explicit_residual_updates_(explicit_residual_updates) {
   const int nranks = layout.num_ranks();
   gamma2_.resize(static_cast<std::size_t>(nranks));
@@ -62,28 +62,14 @@ void ParallelSouthwell::rank_relax(simmpi::RankContext& ctx, int p) {
     if (g > norm2) return;  // a neighbor is (believed) worse off
   }
 
-  auto& xp = x_[up];
-  auto& rp = r_[up];
-  auto& snap = scratch_[up];
-  snap.assign(xp.begin(), xp.end());  // snapshot for Δx
-  const double flops = local_gauss_seidel_sweep(rd, xp, rp);
-  ctx.add_flops(flops);
-  ++rank_stats_[up].active_ranks;
-  rank_stats_[up].relaxations += rd.num_rows();
-  trace_relax(ctx, rd.num_rows());
-  const value_t norm2_new = local_norm_sq(rp);
+  relax_subdomain(ctx, p);
+  const value_t norm2_new = local_norm_sq(r_[up]);
   advertised2_[up] = norm2_new;
   const auto prof_encode = prof_phase(p, prof::PhaseId::kEncode);
   auto& ch = channels_[up];
   for (std::size_t k = 0; k < rd.neighbors.size(); ++k) {
-    const auto& nb = rd.neighbors[k];
     auto rec = ch.open(ctx, k, wire::RecordType::kNormUpdate, norm2_new);
-    for (std::size_t s = 0; s < nb.send_rows_local.size(); ++s) {
-      const auto li = static_cast<std::size_t>(nb.send_rows_local[s]);
-      // Resilient mode ships absolute boundary x (self-healing across
-      // message loss — solver_base.hpp); default mode ships the delta.
-      rec.dx[s] = resilient() ? xp[li] : xp[li] - snap[li];
-    }
+    encode_boundary_dx(p, rd.neighbors[k], rec.dx);
     if (resilient()) resil_note_send(p, k);
   }
   ch.flush(ctx);
@@ -129,32 +115,13 @@ void ParallelSouthwell::rank_residual_update(simmpi::RankContext& ctx,
   ch.flush(ctx);
 }
 
-void ParallelSouthwell::absorb_payload(simmpi::RankContext& ctx, int p,
-                                       std::size_t nbi,
-                                       std::span<const double> payload) {
-  const auto up = static_cast<std::size_t>(p);
-  const auto& nb = layout_->rank(p).neighbors[nbi];
-  if (resilient()) {
-    const auto body = resil_accept(ctx, p, nbi, payload);
-    if (body.empty()) return;
-    const auto rec =
-        wire::decode_record(wire::Family::kNorm, body, nb.ghost_rows.size());
-    gamma2_[up][nbi] = rec.norm2;
-    if (rec.type == wire::RecordType::kNormUpdate) {
-      resil_apply_boundary_x(ctx, p, nbi, rec.dx);
-    }
-    return;
+void ParallelSouthwell::absorb_record(simmpi::RankContext& ctx, int p,
+                                      std::size_t nbi,
+                                      const wire::Record& rec) {
+  gamma2_[static_cast<std::size_t>(p)][nbi] = rec.norm2;
+  if (rec.type == wire::RecordType::kNormUpdate) {
+    absorb_boundary_dx(ctx, p, nbi, rec.dx);
   }
-  wire::for_each_record(
-      wire::Family::kNorm, payload, nb.ghost_rows.size(),
-      [&](const wire::Record& rec) {
-        // Both types carry the sender's new norm; only NormUpdate
-        // piggy-backs boundary Δx.
-        gamma2_[up][nbi] = rec.norm2;
-        if (rec.type == wire::RecordType::kNormUpdate) {
-          apply_incoming_delta(ctx, nb, rec.dx);
-        }
-      });
 }
 
 void ParallelSouthwell::rank_send(int e, simmpi::RankContext& ctx, int p) {
@@ -165,16 +132,6 @@ void ParallelSouthwell::rank_send(int e, simmpi::RankContext& ctx, int p) {
   }
   // ---- Epoch B: explicit residual updates wherever the norm changed
   // (Alg. 2 lines 19-21). This is the traffic Distributed Southwell cuts.
-  if (explicit_residual_updates_) rank_residual_update(ctx, p);
-}
-
-void ParallelSouthwell::rank_async_send(simmpi::RankContext& ctx, int p) {
-  // Relax where the criterion holds on the (staleness-bounded) Γ view and
-  // fold the explicit residual updates into the SAME epoch — after
-  // relaxing, the advertised norm is already current, so the update only
-  // fires when absorption alone changed the norm (or a resilient refresh
-  // is due).
-  rank_relax(ctx, p);
   if (explicit_residual_updates_) rank_residual_update(ctx, p);
 }
 

@@ -38,9 +38,6 @@ class ParallelSouthwell final : public DistStationarySolver {
   // fence/absorb runs even with the ablation switch off, as always).
   int step_epochs() const override { return 2; }
   void rank_send(int e, simmpi::RankContext& ctx, int p) override;
-  void rank_async_send(simmpi::RankContext& ctx, int p) override;
-  void absorb_payload(simmpi::RankContext& ctx, int p, std::size_t nbi,
-                      std::span<const double> payload) override;
 
   /// Repartition recovery re-seeds Γ and the advertised norms exactly
   /// (setup exchange, Alg. 2 line 5).
@@ -51,6 +48,11 @@ class ParallelSouthwell final : public DistStationarySolver {
   }
 
  protected:
+  // Both record types carry the sender's new norm; only NormUpdate
+  // piggy-backs boundary Δx.
+  void absorb_record(simmpi::RankContext& ctx, int p, std::size_t nbi,
+                     const wire::Record& rec) override;
+
   // Checkpoint stream: per rank — advertised ‖r‖², then Γ².
   void capture_extra(std::vector<double>& out) const override;
   void restore_extra(std::span<const double> in) override;

@@ -28,10 +28,12 @@ void subtract_a_times_x_local(const DistLayout& layout,
 
 DistStationarySolver::DistStationarySolver(const DistLayout& layout,
                                            simmpi::Runtime& rt,
+                                           wire::Family family,
                                            std::span<const value_t> b,
                                            std::span<const value_t> x0)
     : layout_(&layout),
       rt_(&rt),
+      family_(family),
       owned_backend_(std::make_unique<simmpi::SequentialBackend>()),
       backend_(owned_backend_.get()) {
   DSOUTH_CHECK(rt.num_ranks() == layout.num_ranks());
@@ -72,6 +74,29 @@ void DistStationarySolver::trace_relax(simmpi::RankContext& ctx,
                   local_norm_sq(rp));
   ctx.metric_add(m_relaxed_rows_, static_cast<double>(rows));
   ctx.metric_add(m_rank_relaxations_, 1.0);
+}
+
+void DistStationarySolver::relax_subdomain(simmpi::RankContext& ctx,
+                                           int p) {
+  const RankData& rd = layout_->rank(p);
+  const auto up = static_cast<std::size_t>(p);
+  auto& xp = x_[up];
+  scratch_[up].assign(xp.begin(), xp.end());
+  ctx.add_flops(local_gauss_seidel_sweep(rd, xp, r_[up]));
+  ++rank_stats_[up].active_ranks;
+  rank_stats_[up].relaxations += rd.num_rows();
+  trace_relax(ctx, rd.num_rows());
+}
+
+void DistStationarySolver::encode_boundary_dx(int p, const NeighborBlock& nb,
+                                              std::span<double> dx) const {
+  const auto up = static_cast<std::size_t>(p);
+  const auto& xp = x_[up];
+  const auto& snap = scratch_[up];
+  for (std::size_t s = 0; s < nb.send_rows_local.size(); ++s) {
+    const auto li = static_cast<std::size_t>(nb.send_rows_local[s]);
+    dx[s] = resilient() ? xp[li] : xp[li] - snap[li];
+  }
 }
 
 void DistStationarySolver::trace_absorb(simmpi::RankContext& ctx) {
@@ -123,6 +148,11 @@ DistStepStats DistStationarySolver::step() {
   return merge_rank_stats();
 }
 
+void DistStationarySolver::rank_async_send(simmpi::RankContext& ctx, int p) {
+  const int epochs = step_epochs();
+  for (int e = 0; e < epochs; ++e) rank_send(e, ctx, p);
+}
+
 void DistStationarySolver::rank_absorb(simmpi::RankContext& ctx, int p) {
   const auto prof_absorb = prof_phase(p, prof::PhaseId::kAbsorb);
   const RankData& rd = layout_->rank(p);
@@ -133,6 +163,33 @@ void DistStationarySolver::rank_absorb(simmpi::RankContext& ctx, int p) {
   }
   trace_absorb(ctx);
   ctx.consume();
+}
+
+void DistStationarySolver::absorb_payload(simmpi::RankContext& ctx, int p,
+                                          std::size_t nbi,
+                                          std::span<const double> payload) {
+  const std::size_t width = layout_->rank(p).neighbors[nbi].ghost_rows.size();
+  if (resilient()) {
+    const auto body = resil_accept(ctx, p, nbi, payload);
+    if (body.empty()) return;
+    absorb_record(ctx, p, nbi, wire::decode_record(family_, body, width));
+    return;
+  }
+  // Decode against the channel's receive width (the codec validates every
+  // length); a frame yields each coalesced record in send order.
+  wire::for_each_record(family_, payload, width, [&](const wire::Record& rec) {
+    absorb_record(ctx, p, nbi, rec);
+  });
+}
+
+void DistStationarySolver::absorb_boundary_dx(simmpi::RankContext& ctx, int p,
+                                              std::size_t nbi,
+                                              std::span<const double> dx) {
+  if (resilient()) {
+    resil_apply_boundary_x(ctx, p, nbi, dx);
+  } else {
+    apply_incoming_delta(ctx, layout_->rank(p).neighbors[nbi], dx);
+  }
 }
 
 void DistStationarySolver::absorb_all() {
@@ -338,7 +395,7 @@ bool DistStationarySolver::resil_refresh_due(int p, std::size_t nbi) const {
          resil_.refresh_period;
 }
 
-// The dispatch lambdas below capture exactly one reference (8 bytes) to a
+// The dispatch lambda below captures exactly one reference (8 bytes) to a
 // stack-local Call struct so the std::function run_epoch receives fits in
 // libstdc++'s small-buffer (16 bytes) — capturing the span + this + fn
 // directly would heap-allocate on every epoch and break the hot path's
@@ -356,22 +413,6 @@ void DistStationarySolver::for_each_rank(
     // rank_dead is constant-false without a kill plan, so fault-free runs
     // take the exact pre-elastic path.
     if (call.rt->rank_dead(p)) return;
-    simmpi::RankContext ctx(*call.rt, p);
-    (*call.fn)(ctx, p);
-  });
-}
-
-void DistStationarySolver::for_ranks(
-    std::span<const int> ranks,
-    const std::function<void(simmpi::RankContext&, int)>& fn) {
-  struct Call {
-    const int* ranks;
-    simmpi::Runtime* rt;
-    const std::function<void(simmpi::RankContext&, int)>* fn;
-  } call{ranks.data(), rt_, &fn};
-  backend_->run_epoch(static_cast<int>(ranks.size()), [&call](int i) {
-    const int p = call.ranks[static_cast<std::size_t>(i)];
-    if (call.rt->rank_dead(p)) return;  // permanently failed — silent
     simmpi::RankContext ctx(*call.rt, p);
     (*call.fn)(ctx, p);
   });

@@ -6,6 +6,14 @@
 /// per `step()` call; a step is one or two simmpi epochs depending on the
 /// method.
 ///
+/// The algorithms share one skeleton — relax a subdomain, ship boundary
+/// Δx, absorb what arrives — and this class owns all of it: the step
+/// schedule, the event-driven fusion of the epochs, the receive path
+/// (resilient envelope gating, decoding against the solver's wire family,
+/// applying incoming Δx) and the relaxation bookkeeping. A concrete solver
+/// supplies only its per-epoch send rule (rank_send) and what one decoded
+/// record does to its state (absorb_record).
+///
 /// SPMD structure: a step's work is decomposed into per-rank phases —
 /// `rank_*`(RankContext&, p) member functions that touch only rank-p state
 /// (x_[p], r_[p], scratch_[p], the solver's per-rank estimate arrays) plus
@@ -27,6 +35,7 @@
 #include "simmpi/rank_context.hpp"
 #include "simmpi/runtime.hpp"
 #include "wire/comm_plan.hpp"
+#include "wire/wire.hpp"
 
 namespace dsouth::dist {
 
@@ -108,8 +117,9 @@ void subtract_a_times_x_local(const DistLayout& layout,
 class DistStationarySolver {
  public:
   /// b and x0 are global vectors; they are scattered across ranks here.
+  /// `family` is the record family the solver's messages decode as.
   DistStationarySolver(const DistLayout& layout, simmpi::Runtime& rt,
-                       std::span<const value_t> b,
+                       wire::Family family, std::span<const value_t> b,
                        std::span<const value_t> x0);
   virtual ~DistStationarySolver() = default;
 
@@ -148,9 +158,12 @@ class DistStationarySolver {
   //                        for_each_rank(rank_absorb)
   //   event-driven:      for_each_rank(rank_absorb; rank_async_send); fence
   //
-  // Every hook preserves the SPMD discipline (rank phases touch only
-  // rank-p state). Calling them outside step()/the coordinator's schedule
-  // voids the byte-identity guarantees.
+  // The base owns rank_async_send (every epoch's rank_send, fused),
+  // rank_absorb and absorb_payload (envelope gating and decoding); a
+  // concrete solver implements rank_send and absorb_record, and may
+  // extend begin_step and step_epochs. Every hook preserves the SPMD
+  // discipline (rank phases touch only rank-p state). Calling them outside
+  // step()/the coordinator's schedule voids the byte-identity guarantees.
 
   /// Per-step bookkeeping that runs once, before any epoch (resilience
   /// step counter; DS advances its heartbeat clock, MCBGS its color).
@@ -165,23 +178,26 @@ class DistStationarySolver {
   /// met, feature disabled) returns without observable effect.
   virtual void rank_send(int e, simmpi::RankContext& ctx, int p) = 0;
 
-  /// Rank p's fused send phase of an event-driven step (the absorb half is
-  /// the shared rank_absorb, run first by the schedule).
-  virtual void rank_async_send(simmpi::RankContext& ctx, int p) = 0;
+  /// Rank p's fused send phase of an event-driven step: rank_send(e) for
+  /// every e < step_epochs(), in order, inside the one epoch (the absorb
+  /// half is the shared rank_absorb, run first by the schedule). After
+  /// the relax epoch the advertised state is current, so the later
+  /// epochs' sends fire only for what absorption alone changed.
+  void rank_async_send(simmpi::RankContext& ctx, int p);
 
   /// Rank p's absorb phase: dispatch every window message to
-  /// absorb_payload by sender channel, trace, consume. Shared verbatim by
-  /// all four solvers — only the per-record semantics differ.
+  /// absorb_payload by sender channel, trace, consume.
   void rank_absorb(simmpi::RankContext& ctx, int p);
 
   /// Apply one received payload on channel (p, neighbor nbi). The payload
   /// is whatever the sender's ChannelSet shipped: a bare record, a
-  /// coalesced frame, or a sequenced envelope — the solver's decode path
-  /// handles all three. The batch coordinator calls this directly with
+  /// coalesced frame, or a sequenced envelope. Resilient solvers gate the
+  /// envelope (resil_accept) and decode its one record; otherwise every
+  /// record of the payload is decoded in send order. Each goes to
+  /// absorb_record. The batch coordinator calls this directly with
   /// tenant-frame bodies.
-  virtual void absorb_payload(simmpi::RankContext& ctx, int p,
-                              std::size_t nbi,
-                              std::span<const double> payload) = 0;
+  void absorb_payload(simmpi::RankContext& ctx, int p, std::size_t nbi,
+                      std::span<const double> payload);
 
   /// Sum the per-rank step-stat slots into one record and reset them
   /// (step() calls this last; the coordinator calls it per tenant).
@@ -293,10 +309,6 @@ class DistStationarySolver {
   void for_each_rank(
       const std::function<void(simmpi::RankContext&, int)>& fn);
 
-  /// Same, restricted to a rank subset (multicolor phases).
-  void for_ranks(std::span<const int> ranks,
-                 const std::function<void(simmpi::RankContext&, int)>& fn);
-
   /// Observability hook (docs/observability.md; trace_absorb above is its
   /// public sibling). An inlined no-op on untraced runs and never touches
   /// the simulation state, so enabling tracing cannot change results.
@@ -327,11 +339,30 @@ class DistStationarySolver {
   /// Inverse of capture_extra; `in` is exactly what capture_extra wrote.
   virtual void restore_extra(std::span<const double> in);
 
-  /// r_p -= A_pq · Δx_q and charge the flops; dx is ordered by the
-  /// neighbor's ghost_rows channel convention. Touches only the rows in
-  /// nb.send_rows_local (a_pq's rows, layout.hpp).
-  void apply_incoming_delta(simmpi::RankContext& ctx, const NeighborBlock& nb,
-                            std::span<const double> dx);
+  /// Apply one decoded record received by rank p from neighbor nbi (the
+  /// solver's per-record semantics; absorb_payload has already gated and
+  /// decoded it). Boundary x updates go through absorb_boundary_dx.
+  virtual void absorb_record(simmpi::RankContext& ctx, int p,
+                             std::size_t nbi, const wire::Record& rec) = 0;
+
+  /// Apply a record's boundary field `dx` from neighbor nbi of rank p:
+  /// resil_apply_boundary_x when resilient (the field is absolute x),
+  /// apply_incoming_delta otherwise (the field is Δx).
+  void absorb_boundary_dx(simmpi::RankContext& ctx, int p, std::size_t nbi,
+                          std::span<const double> dx);
+
+  /// One relaxation of rank p's (nonempty) subdomain: snapshot x_p into
+  /// scratch_[p], one local Gauss–Seidel sweep, charge its flops, count it
+  /// in rank_stats_ and trace it. scratch_[p] keeps the pre-sweep x until
+  /// the rank's next relaxation — the reference encode_boundary_dx uses.
+  void relax_subdomain(simmpi::RankContext& ctx, int p);
+
+  /// Write what rank p ships toward neighbor nb for its boundary rows
+  /// after relax_subdomain, in nb.send_rows_local order: absolute x when
+  /// resilient (self-healing across message loss), x − scratch_[p] (Δx)
+  /// otherwise.
+  void encode_boundary_dx(int p, const NeighborBlock& nb,
+                          std::span<double> dx) const;
 
   // --- Resilient-mode helpers (no-ops / unused unless resilient()). Each
   // touches only rank-p slots, preserving the SPMD phase discipline.
@@ -339,21 +370,6 @@ class DistStationarySolver {
   /// Bump the solver's internal step counter; every step() implementation
   /// calls this first (it also locks set_resilience).
   void resil_begin_step() { ++resil_step_count_; }
-
-  /// Validate one received payload on channel (p, neighbor nbi): decode
-  /// the wire-v2 envelope and gate on its sequence number. Returns the
-  /// record body, or an empty span when the payload was rejected
-  /// (corrupt/truncated/stale/duplicate — counted in resil_stats_[p]).
-  std::span<const double> resil_accept(simmpi::RankContext& ctx, int p,
-                                       std::size_t nbi,
-                                       std::span<const double> payload);
-
-  /// Absorb an absolute-boundary-x payload from neighbor nbi of rank p:
-  /// apply dx = x_abs - cached ghost x to r_p and refresh the cache.
-  /// Idempotent — reapplying the same x_abs is a zero delta.
-  void resil_apply_boundary_x(simmpi::RankContext& ctx, int p,
-                              std::size_t nbi,
-                              std::span<const double> x_abs);
 
   /// Record that rank p sent a full-state (x-bearing) message to neighbor
   /// nbi this step — resets the channel's refresh clock.
@@ -368,12 +384,13 @@ class DistStationarySolver {
 
   const DistLayout* layout_;
   simmpi::Runtime* rt_;
+  wire::Family family_;
   std::vector<std::vector<value_t>> x_, r_;
   /// Per-rank wire channels over the layout's CommPlan (channel index k ==
   /// neighbor index k). Each rank phase may touch only its own slot.
   std::vector<wire::ChannelSet> channels_;
-  /// Per-rank reusable buffer (sized to the rank's subdomain) — each rank
-  /// phase may use only its own slot.
+  /// Per-rank pre-sweep snapshot of x_p (relax_subdomain; sized to the
+  /// rank's subdomain) — each rank phase may use only its own slot.
   std::vector<std::vector<value_t>> scratch_;
   /// Per-rank step accounting, merged by merge_rank_stats().
   std::vector<DistStepStats> rank_stats_;
@@ -403,6 +420,28 @@ class DistStationarySolver {
   trace::MetricId m_resil_refreshes_ = trace::kInvalidMetric;
 
  private:
+  // Receive-path steps behind absorb_payload / absorb_boundary_dx.
+  /// r_p -= A_pq · Δx_q and charge the flops; dx is ordered by the
+  /// neighbor's ghost_rows channel convention. Touches only the rows in
+  /// nb.send_rows_local (a_pq's rows, layout.hpp).
+  void apply_incoming_delta(simmpi::RankContext& ctx, const NeighborBlock& nb,
+                            std::span<const double> dx);
+
+  /// Validate one received payload on channel (p, neighbor nbi): decode
+  /// the wire-v2 envelope and gate on its sequence number. Returns the
+  /// record body, or an empty span when the payload was rejected
+  /// (corrupt/truncated/stale/duplicate — counted in resil_stats_[p]).
+  std::span<const double> resil_accept(simmpi::RankContext& ctx, int p,
+                                       std::size_t nbi,
+                                       std::span<const double> payload);
+
+  /// Absorb an absolute-boundary-x payload from neighbor nbi of rank p:
+  /// apply dx = x_abs - cached ghost x to r_p and refresh the cache.
+  /// Idempotent — reapplying the same x_abs is a zero delta.
+  void resil_apply_boundary_x(simmpi::RankContext& ctx, int p,
+                              std::size_t nbi,
+                              std::span<const double> x_abs);
+
   std::unique_ptr<simmpi::ExecutionBackend> owned_backend_;
   simmpi::ExecutionBackend* backend_;
 };

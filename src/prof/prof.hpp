@@ -50,7 +50,7 @@ namespace dsouth::prof {
 enum class PhaseId : int {
   kStep = 0,        ///< one full solver parallel step (driver, runtime lane)
   kAbsorb,          ///< solver rank_absorb (per-rank lane)
-  kRelax,           ///< solver rank_relax (per-rank lane)
+  kRelax,           ///< solver relax phase (per-rank lane)
   kEncode,          ///< wire-record encode + channel staging loops (per-rank lane)
   kStage,           ///< Runtime::stage payload handoff (per-rank lane)
   kFence,           ///< Runtime::fence merge + maturation (runtime lane)

@@ -13,10 +13,12 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "analysis/run_trace.hpp"
@@ -61,6 +63,13 @@ trace::MetricKind old_parse_metric_kind(const std::string& name) {
   return trace::MetricKind::kCounter;
 }
 
+template <typename T>
+T old_narrow(const JsonValue& v) {
+  const std::int64_t i = v.as_int();
+  DSOUTH_CHECK(std::in_range<T>(i));
+  return static_cast<T>(i);
+}
+
 std::vector<RunTrace> old_parse_jsonl(std::string_view text) {
   std::vector<RunTrace> runs;
   std::size_t pos = 0;
@@ -87,12 +96,11 @@ std::vector<RunTrace> old_parse_jsonl(std::string_view text) {
     const std::string& type = v.at("type").as_string();
     if (type == "header") {
       RunTrace run;
-      run.version = static_cast<int>(v.at("version").as_int());
+      run.version = old_narrow<int>(v.at("version"));
       DSOUTH_CHECK(run.version >= 1 && run.version <= 6);
-      run.num_ranks = static_cast<int>(v.at("num_ranks").as_int());
+      run.num_ranks = old_narrow<int>(v.at("num_ranks"));
       DSOUTH_CHECK(run.num_ranks > 0);
-      run.dropped_events =
-          static_cast<std::uint64_t>(v.at("dropped_events").as_int());
+      run.dropped_events = old_narrow<std::uint64_t>(v.at("dropped_events"));
       if (const JsonValue* label = v.find("run")) {
         run.label = label->as_string();
       }
@@ -104,14 +112,14 @@ std::vector<RunTrace> old_parse_jsonl(std::string_view text) {
     if (type == "event") {
       trace::Event e;
       e.kind = old_parse_kind(v.at("kind").as_string());
-      e.seq = static_cast<std::uint64_t>(v.at("seq").as_int());
-      e.epoch = static_cast<std::uint64_t>(v.at("epoch").as_int());
-      e.rank = static_cast<std::int32_t>(v.at("rank").as_int());
+      e.seq = old_narrow<std::uint64_t>(v.at("seq"));
+      e.epoch = old_narrow<std::uint64_t>(v.at("epoch"));
+      e.rank = old_narrow<std::int32_t>(v.at("rank"));
       if (const JsonValue* peer = v.find("peer")) {
-        e.peer = static_cast<std::int32_t>(peer->as_int());
+        e.peer = old_narrow<std::int32_t>(*peer);
       }
       if (const JsonValue* tag = v.find("tag")) {
-        e.tag = static_cast<std::int32_t>(tag->as_int());
+        e.tag = old_narrow<std::int32_t>(*tag);
       }
       e.t_model = v.at("t_model").as_number();
       e.a0 = v.at("a0").as_number();
@@ -530,6 +538,40 @@ TEST(JsonlReader, OverflowingNumbersReadAsNullAndFailResolution) {
   EXPECT_TRUE(same_bits(e.t_model, 0.0));
   EXPECT_TRUE(same_bits(e.a0, 5e-324));
   EXPECT_TRUE(same_bits(e.a1, 2.5e-308));
+}
+
+// Integers the RunTrace fields cannot hold are rejected, never wrapped:
+// each of these once read as a small valid value (6, 2, 2^64 - 1, 1).
+TEST(JsonlReader, OutOfRangeIntegersAreRejected) {
+  const std::string event_tail =
+      R"(,"t_model":0,"a0":1,"a1":2})";
+  const std::string event =
+      R"({"type":"event","kind":"relax","seq":1,"epoch":0,"rank":)";
+  const std::vector<std::string> bad = {
+      R"({"type":"header","version":4294967302,"num_ranks":2,"dropped_events":0})",
+      R"({"type":"header","version":6,"num_ranks":4294967298,"dropped_events":0})",
+      R"({"type":"header","version":6,"num_ranks":2,"dropped_events":-1})",
+      capture(event + "4294967297" + event_tail),
+      capture(event + "-2147483649" + event_tail),
+      capture(event + R"(0,"peer":2147483648)" + event_tail),
+      capture(event + R"(0,"tag":-4294967295)" + event_tail),
+      capture(R"({"type":"event","kind":"relax","seq":-1,"epoch":0,"rank":0)" +
+              event_tail),
+      capture(R"({"type":"event","kind":"relax","seq":1,"epoch":-3,"rank":0)" +
+              event_tail),
+  };
+  for (const std::string& text : bad) {
+    EXPECT_EQ(expect_same_outcome(text), Outcome::kRejected) << text;
+    EXPECT_THROW(parse_jsonl(text), CheckError) << text;
+  }
+  // The int32 bounds themselves are in range.
+  const std::string edge = capture(
+      event + R"(-2147483648,"peer":2147483647,"tag":-2147483648)" +
+      event_tail);
+  ASSERT_EQ(expect_same_outcome(edge), Outcome::kAccepted);
+  const trace::Event e = parse_jsonl(edge)[0].events[0];
+  EXPECT_EQ(e.rank, std::numeric_limits<std::int32_t>::min());
+  EXPECT_EQ(e.peer, std::numeric_limits<std::int32_t>::max());
 }
 
 TEST(JsonlReader, SyntaxErrorsNameTheLine) {
