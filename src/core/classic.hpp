@@ -42,6 +42,7 @@ ConvergenceHistory run_gauss_seidel(const CsrMatrix& a,
                                     const ScalarRunOptions& opt = {});
 
 /// SOR: Gauss–Seidel with relaxation factor ω in (0, 2).
+/// Test-only: Sor.* and CrossValidation.SorWithUnitOmegaIsGaussSeidel.
 ConvergenceHistory run_sor(const CsrMatrix& a, std::span<const value_t> b,
                            std::span<const value_t> x0, value_t omega,
                            const ScalarRunOptions& opt = {});

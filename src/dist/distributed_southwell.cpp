@@ -142,11 +142,6 @@ std::uint64_t DistributedSouthwell::corrections_sent() const {
                          std::uint64_t{0});
 }
 
-std::uint64_t DistributedSouthwell::deferred_sends() const {
-  return std::accumulate(deferred_sends_.begin(), deferred_sends_.end(),
-                         std::uint64_t{0});
-}
-
 void DistributedSouthwell::rank_relax(simmpi::RankContext& ctx, int p) {
   const auto prof_relax = prof_phase(p, prof::PhaseId::kRelax);
   const RankData& rd = layout_->rank(p);

@@ -131,9 +131,6 @@ class DistributedSouthwell final : public DistStationarySolver {
   trace::MetricId m_deferred_sends_ = trace::kInvalidMetric;
   index_t step_count_ = 0;
   bool heartbeat_ = false;  // this step's heartbeat flag (set by begin_step)
-
- public:
-  std::uint64_t deferred_sends() const;
 };
 
 }  // namespace dsouth::dist

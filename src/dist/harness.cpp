@@ -36,10 +36,9 @@ RunHarness::RunHarness(DistMethod method,
     async_policy_ = std::make_unique<simmpi::EventDrivenPolicy>(eo);
     rt_.set_delivery_policy(async_policy_.get());
   }
-  // Node-aware topology. Run options take precedence over a topology
-  // already attached to the layout; a locally-built topology must outlive
-  // the runtime, hence the member optional. Flat topologies degenerate to
-  // "detached" inside the runtime, so attaching one here is harmless (and
+  // Node-aware topology. The built topology must outlive the runtime,
+  // hence the member optional. Flat topologies degenerate to "detached"
+  // inside the runtime, so attaching one here is harmless (and
   // byte-identical to not attaching).
   const int p = layout.num_ranks();
   if (!opt.node_map.empty()) {
@@ -49,20 +48,14 @@ RunHarness::RunHarness(DistMethod method,
         p, opt.ranks_per_node > 0 ? opt.ranks_per_node
                                   : (p + opt.num_nodes - 1) / opt.num_nodes));
   }
-  const simmpi::NodeTopology* topo =
-      run_topo_ ? &*run_topo_ : layout.node_topology();
-  if (topo) {
+  if (run_topo_) {
     simmpi::NodeRoutingOptions nro;
     nro.route_via_leaders = opt.node_route;
     if (opt.node_route) {
-      // The runtime only needs the dense channel-count matrix (to size
-      // forward-frame bitmaps); the full NodeCommPlan stays a wire-layer
-      // object.
       nro.pair_channel_counts =
-          wire::NodeCommPlan(layout.comm_plan(), *topo)
-              .pair_channel_counts();
+          wire::node_pair_channel_counts(layout.comm_plan(), *run_topo_);
     }
-    rt_.set_node_topology(topo, std::move(nro));
+    rt_.set_node_topology(&*run_topo_, std::move(nro));
   }
   // The tracer must be attached before the solver is constructed so solver
   // ctors can register their metrics.

@@ -121,18 +121,6 @@ DistLayout::DistLayout(const CsrMatrix& a, const graph::Partition& partition) {
   plan_ = wire::CommPlan(std::move(peers));
 }
 
-void DistLayout::set_node_topology(simmpi::NodeTopology topo) {
-  DSOUTH_CHECK(topo.num_ranks() == num_ranks());
-  node_topo_.emplace(std::move(topo));
-  node_plan_ = wire::NodeCommPlan(plan_, *node_topo_);
-}
-
-const wire::NodeCommPlan& DistLayout::node_comm_plan() const {
-  DSOUTH_CHECK_MSG(node_topo_.has_value(),
-                   "node_comm_plan() without a node topology attached");
-  return node_plan_;
-}
-
 const RankData& DistLayout::rank(int p) const {
   DSOUTH_CHECK(p >= 0 && p < num_ranks());
   return ranks_[static_cast<std::size_t>(p)];

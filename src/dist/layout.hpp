@@ -40,11 +40,9 @@
 /// layout's blocks are never modified after construction, whereas other
 /// CsrMatrix users rewrite values in place.
 
-#include <optional>
 #include <vector>
 
 #include "graph/partition.hpp"
-#include "simmpi/node_topology.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/types.hpp"
 #include "wire/comm_plan.hpp"
@@ -95,9 +93,10 @@ class DistLayout {
   std::vector<value_t> gather(
       const std::vector<std::vector<value_t>>& local) const;
 
-  /// Structural self-check (used by tests): block dimensions (a_pq and
-  /// a_qp in boundary coordinates), the cached diagonal, mirrored
-  /// ghost/send lists, and a_pq's values against `a`.
+  /// Structural self-check: block dimensions (a_pq and a_qp in boundary
+  /// coordinates), the cached diagonal, mirrored ghost/send lists, and
+  /// a_pq's values against `a`.
+  /// Test-only oracle: DistLayout.* and EdgeCases.LayoutToleratesEmptyParts.
   bool validate(const CsrMatrix& a) const;
 
   /// The wire-level communication plan precomputed from the neighbor
@@ -107,29 +106,10 @@ class DistLayout {
   /// in general — the channel is directed.
   const wire::CommPlan& comm_plan() const { return plan_; }
 
-  /// Attach a two-level node topology (simmpi/node_topology.hpp) and
-  /// precompute the node-level view of the comm plan — the static
-  /// per-node-pair channel lists forward frames index by
-  /// (wire::NodeCommPlan). The topology must cover exactly this layout's
-  /// ranks. Attaching replaces any previous topology; the driver calls
-  /// this once per run configuration (dist/driver.hpp).
-  void set_node_topology(simmpi::NodeTopology topo);
-
-  /// The attached topology, or nullptr when the layout is single-level.
-  const simmpi::NodeTopology* node_topology() const {
-    return node_topo_.has_value() ? &*node_topo_ : nullptr;
-  }
-
-  /// The node-level comm plan (valid only while node_topology() is
-  /// attached — checked).
-  const wire::NodeCommPlan& node_comm_plan() const;
-
  private:
   index_t n_ = 0;
   std::vector<RankData> ranks_;
   wire::CommPlan plan_;
-  std::optional<simmpi::NodeTopology> node_topo_;
-  wire::NodeCommPlan node_plan_;
   std::vector<int> rank_of_;       // global row -> rank
   std::vector<index_t> local_of_;  // global row -> local index
 };

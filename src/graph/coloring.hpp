@@ -35,6 +35,7 @@ Coloring greedy_coloring(const Graph& g,
 
 /// True iff no edge joins two vertices of the same color and all colors
 /// are in [0, num_colors).
+/// Test-only oracle: the Coloring.* tests check greedy_coloring with it.
 bool coloring_is_valid(const Graph& g, const Coloring& c);
 
 }  // namespace dsouth::graph

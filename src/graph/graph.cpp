@@ -124,44 +124,4 @@ bool Graph::is_connected() const {
   return connected_components(comp) == 1;
 }
 
-index_t Graph::pseudo_peripheral_vertex(index_t hint) const {
-  DSOUTH_CHECK(n_ > 0);
-  DSOUTH_CHECK(hint >= 0 && hint < n_);
-  // Alternating BFS sweeps: move to a min-degree vertex in the last BFS
-  // level until the eccentricity stops growing (George–Liu heuristic).
-  index_t current = hint;
-  index_t last_ecc = -1;
-  for (int iter = 0; iter < 8; ++iter) {
-    std::vector<index_t> level(static_cast<std::size_t>(n_), -1);
-    std::deque<index_t> queue{current};
-    level[static_cast<std::size_t>(current)] = 0;
-    index_t ecc = 0;
-    std::vector<index_t> frontier;
-    while (!queue.empty()) {
-      index_t v = queue.front();
-      queue.pop_front();
-      if (level[static_cast<std::size_t>(v)] > ecc) {
-        ecc = level[static_cast<std::size_t>(v)];
-        frontier.clear();
-      }
-      if (level[static_cast<std::size_t>(v)] == ecc) frontier.push_back(v);
-      for (index_t w : neighbors(v)) {
-        if (level[static_cast<std::size_t>(w)] < 0) {
-          level[static_cast<std::size_t>(w)] =
-              level[static_cast<std::size_t>(v)] + 1;
-          queue.push_back(w);
-        }
-      }
-    }
-    if (ecc <= last_ecc) break;
-    last_ecc = ecc;
-    index_t best = frontier.front();
-    for (index_t v : frontier) {
-      if (degree(v) < degree(best)) best = v;
-    }
-    current = best;
-  }
-  return current;
-}
-
 }  // namespace dsouth::graph

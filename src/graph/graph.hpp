@@ -47,10 +47,6 @@ class Graph {
 
   bool is_connected() const;
 
-  /// A vertex of minimum degree among those furthest from `hint` — a good
-  /// peripheral starting point for RCM and region growing.
-  index_t pseudo_peripheral_vertex(index_t hint = 0) const;
-
  private:
   index_t n_ = 0;
   std::vector<index_t> ptr_;

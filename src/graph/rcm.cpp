@@ -1,49 +1,8 @@
 #include "graph/rcm.hpp"
 
-#include <algorithm>
-#include <deque>
-
 #include "util/error.hpp"
 
 namespace dsouth::graph {
-
-std::vector<index_t> rcm_order(const Graph& g) {
-  const index_t n = g.num_vertices();
-  std::vector<index_t> order;
-  order.reserve(static_cast<std::size_t>(n));
-  std::vector<char> seen(static_cast<std::size_t>(n), 0);
-  for (index_t s = 0; s < n; ++s) {
-    if (seen[static_cast<std::size_t>(s)]) continue;
-    // Restrict the peripheral search to this component by starting from s;
-    // pseudo_peripheral_vertex only walks the component of its hint.
-    index_t start = g.pseudo_peripheral_vertex(s);
-    std::deque<index_t> queue{start};
-    seen[static_cast<std::size_t>(start)] = 1;
-    std::size_t component_begin = order.size();
-    while (!queue.empty()) {
-      index_t v = queue.front();
-      queue.pop_front();
-      order.push_back(v);
-      // Enqueue unseen neighbors by ascending degree (Cuthill–McKee rule).
-      std::vector<index_t> next;
-      for (index_t w : g.neighbors(v)) {
-        if (!seen[static_cast<std::size_t>(w)]) {
-          seen[static_cast<std::size_t>(w)] = 1;
-          next.push_back(w);
-        }
-      }
-      std::stable_sort(next.begin(), next.end(), [&](index_t a, index_t b) {
-        return g.degree(a) < g.degree(b);
-      });
-      for (index_t w : next) queue.push_back(w);
-    }
-    // Reverse within the component (the "R" in RCM).
-    std::reverse(order.begin() + static_cast<std::ptrdiff_t>(component_begin),
-                 order.end());
-  }
-  DSOUTH_CHECK(static_cast<index_t>(order.size()) == n);
-  return order;
-}
 
 std::vector<index_t> invert_permutation(const std::vector<index_t>& perm) {
   std::vector<index_t> inv(perm.size(), -1);
@@ -64,16 +23,6 @@ sparse::CsrMatrix permute_symmetric(const sparse::CsrMatrix& a,
   std::vector<index_t> inv = invert_permutation(perm);
   // col_map[j] = new index of old column j.
   return a.extract(perm, inv, a.cols());
-}
-
-index_t bandwidth(const sparse::CsrMatrix& a) {
-  index_t bw = 0;
-  for (index_t i = 0; i < a.rows(); ++i) {
-    for (index_t j : a.row_cols(i)) {
-      bw = std::max(bw, std::abs(i - j));
-    }
-  }
-  return bw;
 }
 
 }  // namespace dsouth::graph

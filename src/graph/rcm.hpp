@@ -1,21 +1,16 @@
 #pragma once
 
 /// \file rcm.hpp
-/// Reverse Cuthill–McKee ordering. Not used by the paper's algorithms
-/// directly, but a standard tool for bandwidth-reducing row orderings;
-/// the examples use it to show how subdomain locality affects the
-/// partitioner and the Southwell selection pattern.
+/// Symmetric row/column permutations. The ablation bench
+/// (bench/ablation_design_choices.cpp) and examples/partitioning_demo.cpp
+/// shuffle a generated matrix's banded natural order with them, so that
+/// contiguous-block partitions fare as they would on a real matrix.
 
 #include <vector>
 
 #include "graph/graph.hpp"
 
 namespace dsouth::graph {
-
-/// RCM permutation: `perm[k]` is the original vertex placed at position k.
-/// Components are ordered one after another, each started from a
-/// pseudo-peripheral vertex.
-std::vector<index_t> rcm_order(const Graph& g);
 
 /// Inverse of a permutation.
 std::vector<index_t> invert_permutation(const std::vector<index_t>& perm);
@@ -24,8 +19,5 @@ std::vector<index_t> invert_permutation(const std::vector<index_t>& perm);
 /// b[new_i][new_j] = a[perm[new_i]][perm[new_j]].
 sparse::CsrMatrix permute_symmetric(const sparse::CsrMatrix& a,
                                     const std::vector<index_t>& perm);
-
-/// Matrix bandwidth: max |i - j| over stored entries.
-index_t bandwidth(const sparse::CsrMatrix& a);
 
 }  // namespace dsouth::graph

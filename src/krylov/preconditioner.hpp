@@ -43,6 +43,7 @@ class Preconditioner {
 };
 
 /// Identity (no preconditioning).
+/// Test-only: Preconditioners.IdentityEqualsPlainCg compares PCG to CG with it.
 std::unique_ptr<Preconditioner> make_identity_preconditioner();
 
 /// Point-Jacobi: z = D⁻¹ r.

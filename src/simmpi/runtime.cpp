@@ -174,7 +174,7 @@ void Runtime::set_node_topology(const NodeTopology* topo,
       DSOUTH_CHECK_MSG(
           opts.pair_channel_counts.size() == nn * nn,
           "routing needs the dense num_nodes^2 channel-count matrix "
-          "(wire::NodeCommPlan::pair_channel_counts)");
+          "(wire::node_pair_channel_counts)");
       node_pair_channels_ = std::move(opts.pair_channel_counts);
     } else {
       node_pair_channels_.clear();
@@ -415,10 +415,10 @@ void Runtime::node_prepass() {
   // tag) group, emitted in ascending group index — deterministic whatever
   // order the puts were staged in (in-place sort on a persistent vector:
   // no allocation). A group of one ships bare, byte-identical to a direct
-  // charge; larger groups are charged at the forward-frame size — magic
-  // word plus a presence bitmap over the pair's static channel list
-  // (wire::forward_frame_doubles, mirrored here so simmpi stays below the
-  // wire layer in the dependency order).
+  // charge. Larger groups are charged as a forward frame, and this charge
+  // is the whole definition of one (no codec builds the frame): one magic
+  // double, a presence bitmap of W = ceil(channels / 64) words over the
+  // pair's plan channels, then the group's bodies back to back.
   std::sort(group_touched_.begin(), group_touched_.end());
   for (const std::size_t g : group_touched_) {
     const std::size_t pair = g / kNumTags;

@@ -89,10 +89,11 @@ struct NodeRoutingOptions {
   bool route_via_leaders = true;
   /// Dense num_nodes × num_nodes (row-major) count of static plan channels
   /// crossing each ordered node pair — exactly
-  /// wire::NodeCommPlan::pair_channel_counts(). The runtime needs only the
-  /// counts (to size forward-frame presence bitmaps), which is what keeps
-  /// simmpi below the wire layer in the dependency order. Required (and
-  /// checked) when route_via_leaders is true; ignored otherwise.
+  /// wire::node_pair_channel_counts(). The runtime needs only the counts,
+  /// to size the presence bitmap of the forward frames it charges (see
+  /// set_node_topology), which keeps simmpi below the wire layer in the
+  /// dependency order. Required (and checked) when route_via_leaders is
+  /// true; ignored otherwise.
   std::vector<std::uint32_t> pair_channel_counts;
 };
 
@@ -347,8 +348,11 @@ class Runtime {
   ///     inter hop per (src node, dst node, tag) group charged to the src
   ///     leader, relay-down (dst leader -> dst, intra, skipped when dst is
   ///     its leader). A group of one ships bare (byte-identical to the
-  ///     direct charge); groups of two or more are charged at the
-  ///     forward-frame size (wire::forward_frame_doubles).
+  ///     direct charge); a group of two or more is charged as a forward
+  ///     frame of 1 + W + body doubles, where W = ceil(channels / 64) is
+  ///     the presence-bitmap word count over the pair's plan channels.
+  ///     That charge is the forward frame's only definition: routing
+  ///     prices the frame and never encodes one.
   ///   - a message the fault schedule drops died at its source: it is
   ///     charged as a single direct hop and no relay ever saw it.
   ///

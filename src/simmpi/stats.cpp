@@ -53,11 +53,6 @@ std::uint64_t CommStats::total_bytes() const {
   return sum;
 }
 
-std::uint64_t CommStats::messages_from(int rank) const {
-  DSOUTH_CHECK(rank >= 0 && rank < num_ranks_);
-  return msgs_per_rank_[static_cast<std::size_t>(rank)];
-}
-
 double CommStats::comm_cost() const {
   return static_cast<double>(total_messages()) /
          static_cast<double>(num_ranks_);

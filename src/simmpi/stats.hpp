@@ -120,8 +120,6 @@ class CommStats {
   std::uint64_t logical_messages() const;
   std::uint64_t logical_messages(MsgTag tag) const;
   std::uint64_t total_bytes() const;
-  /// Messages sent by `rank` since construction / the last reset().
-  std::uint64_t messages_from(int rank) const;
 
   /// Paper metric: total messages / P.
   double comm_cost() const;

@@ -16,6 +16,7 @@
 namespace dsouth::sparse {
 
 /// Write a matrix in dsouth binary CSR format.
+/// Test-only: BinaryCsr.* and RoundTrip.* write their fixtures with these.
 void write_binary_csr(std::ostream& out, const CsrMatrix& a);
 void write_binary_csr_file(const std::string& path, const CsrMatrix& a);
 

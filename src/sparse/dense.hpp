@@ -38,6 +38,7 @@ class DenseMatrix {
 /// non-positive pivot is encountered (matrix not SPD to working precision).
 class DenseCholesky {
  public:
+  /// Test-only oracle: the DenseCholesky.* tests (AMG uses the CSR form).
   explicit DenseCholesky(const DenseMatrix& a);
   explicit DenseCholesky(const CsrMatrix& a);
 
@@ -47,6 +48,7 @@ class DenseCholesky {
   void solve(std::span<const value_t> b, std::span<value_t> x) const;
 
   /// log-determinant of A (sum of 2*log(l_ii)); handy for SPD sanity tests.
+  /// Test-only: DenseCholesky.LogDetMatchesKnown.
   value_t log_det() const;
 
  private:

@@ -25,6 +25,7 @@ CsrMatrix read_matrix_market_file(const std::string& path);
 /// Write in coordinate/real format. If `symmetric` is set, only the lower
 /// triangle is emitted and the header declares symmetric (the matrix must
 /// actually be symmetric; validated).
+/// Test-only: MatrixMarket.* and RoundTrip.* write their fixtures with these.
 void write_matrix_market(std::ostream& out, const CsrMatrix& a,
                          bool symmetric = false);
 void write_matrix_market_file(const std::string& path, const CsrMatrix& a,

@@ -24,7 +24,7 @@ namespace dsouth::sparse {
 struct ProxyInfo {
   std::string name;          ///< proxy name, e.g. "Flan_1565p"
   std::string paper_matrix;  ///< SuiteSparse matrix it stands in for
-  std::string kind;          ///< generator flavor, e.g. "poisson3d_27pt"
+  std::string kind;          ///< generator flavor, e.g. "fem3d_elasticity"
   index_t rows = 0;
   index_t nnz = 0;
 };

@@ -102,25 +102,6 @@ CsrMatrix poisson3d_7pt(index_t nx, index_t ny, index_t nz,
   return assemble(nx, ny, nz, {{1, 0, 0}, {0, 1, 0}, {0, 0, 1}}, opt);
 }
 
-CsrMatrix poisson3d_27pt(index_t nx, index_t ny, index_t nz,
-                         const StencilOptions& opt) {
-  // Upper half of the 26-neighbor stencil: 13 offsets.
-  std::vector<Offset3> half;
-  for (index_t dz = -1; dz <= 1; ++dz) {
-    for (index_t dy = -1; dy <= 1; ++dy) {
-      for (index_t dx = -1; dx <= 1; ++dx) {
-        if (dx == 0 && dy == 0 && dz == 0) continue;
-        // Keep one representative of each {o, -o} pair.
-        if (dz > 0 || (dz == 0 && (dy > 0 || (dy == 0 && dx > 0)))) {
-          half.push_back({dx, dy, dz});
-        }
-      }
-    }
-  }
-  DSOUTH_CHECK(half.size() == 13);
-  return assemble(nx, ny, nz, half, opt);
-}
-
 CsrMatrix random_spd(index_t n, index_t nnz_per_row, double dominance,
                      std::uint64_t seed) {
   DSOUTH_CHECK(n > 0 && nnz_per_row > 0 && nnz_per_row < n);

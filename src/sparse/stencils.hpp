@@ -52,14 +52,11 @@ CsrMatrix poisson2d_9pt(index_t nx, index_t ny,
 CsrMatrix poisson3d_7pt(index_t nx, index_t ny, index_t nz,
                         const StencilOptions& opt = {});
 
-/// 3-D, 27-point (26 neighbors), Dirichlet.
-CsrMatrix poisson3d_27pt(index_t nx, index_t ny, index_t nz,
-                         const StencilOptions& opt = {});
-
 /// Random sparse SPD matrix on a random regular-ish graph: ~`nnz_per_row`
 /// off-diagonal entries per row, negative off-diagonal values, diagonal set
 /// to `dominance` × (sum of |off-diagonals| in the row). dominance > 1
 /// gives strict diagonal dominance (hence SPD).
+/// Test-only: kept for the RandomSpd tests (tests/test_sparse_stencils.cpp).
 CsrMatrix random_spd(index_t n, index_t nnz_per_row, double dominance,
                      std::uint64_t seed);
 

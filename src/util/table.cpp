@@ -39,7 +39,6 @@ Table& Table::cell(double value, int precision) {
 
 Table& Table::cell(std::size_t value) { return cell(std::to_string(value)); }
 
-Table& Table::cell_int(long long value) { return cell(std::to_string(value)); }
 
 Table& Table::dagger() { return cell(std::string("†")); }
 

@@ -25,7 +25,6 @@ class Table {
   Table& cell(const std::string& text);
   Table& cell(double value, int precision = 3);
   Table& cell(std::size_t value);
-  Table& cell_int(long long value);
   /// The paper's † marker for "did not reach the target in 50 steps".
   Table& dagger();
 

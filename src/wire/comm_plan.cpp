@@ -22,49 +22,18 @@ std::size_t CommPlan::max_record_doubles() const {
   return mx;
 }
 
-NodeCommPlan::NodeCommPlan(const CommPlan& plan,
-                           const simmpi::NodeTopology& topo) {
+std::vector<std::uint32_t> node_pair_channel_counts(
+    const CommPlan& plan, const simmpi::NodeTopology& topo) {
   DSOUTH_CHECK(plan.num_ranks() == topo.num_ranks());
-  num_nodes_ = topo.num_nodes();
-  const auto nn = static_cast<std::size_t>(num_nodes_);
-  pairs_.assign(nn * nn, {});
-  // Ranks ascend and each rank's peer list ascends by peer rank, so every
-  // pair's channel list comes out sorted by (src, dst) with no extra pass
-  // — the deterministic order both leaders index forward-frame bitmaps by.
+  const auto nn = static_cast<std::size_t>(topo.num_nodes());
+  std::vector<std::uint32_t> counts(nn * nn, 0);
   for (int s = 0; s < plan.num_ranks(); ++s) {
     for (const CommPlan::Peer& p : plan.peers(s)) {
       if (topo.same_node(s, p.rank)) continue;
       const auto x = static_cast<std::size_t>(topo.node_of(s));
       const auto y = static_cast<std::size_t>(topo.node_of(p.rank));
-      pairs_[x * nn + y].push_back(Channel{s, p.rank, p.send_width});
+      ++counts[x * nn + y];
     }
-  }
-}
-
-std::span<const NodeCommPlan::Channel> NodeCommPlan::channels(
-    int src_node, int dst_node) const {
-  DSOUTH_CHECK(src_node >= 0 && src_node < num_nodes_);
-  DSOUTH_CHECK(dst_node >= 0 && dst_node < num_nodes_);
-  return pairs_[static_cast<std::size_t>(src_node) *
-                    static_cast<std::size_t>(num_nodes_) +
-                static_cast<std::size_t>(dst_node)];
-}
-
-int NodeCommPlan::channel_index(int src_node, int dst_node, int src,
-                                int dst) const {
-  const auto list = channels(src_node, dst_node);
-  for (std::size_t i = 0; i < list.size(); ++i) {
-    if (list[i].src == src && list[i].dst == dst) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
-}
-
-std::vector<std::uint32_t> NodeCommPlan::pair_channel_counts() const {
-  std::vector<std::uint32_t> counts(pairs_.size(), 0);
-  for (std::size_t i = 0; i < pairs_.size(); ++i) {
-    counts[i] = static_cast<std::uint32_t>(pairs_[i].size());
   }
   return counts;
 }

@@ -67,45 +67,13 @@ class CommPlan {
   std::vector<std::vector<Peer>> peers_;
 };
 
-/// The node-level view of a CommPlan under a two-level topology
-/// (simmpi/node_topology.hpp): for every ordered node pair (X, Y), the
-/// static list of directed rank channels crossing it, in ascending
-/// (src, dst) order. This list is the shared header of the forward-frame
-/// format (wire.hpp): both leaders derive the identical list from the
-/// identical plan + topology, so an aggregated frame only needs a presence
-/// bitmap over it to name each record's original channel. Same-node
-/// channels never appear (they are not forwarded). Computed once at
-/// layout time (DistLayout owns one next to its CommPlan).
-class NodeCommPlan {
- public:
-  struct Channel {
-    int src = -1;            ///< original source rank
-    int dst = -1;            ///< original destination rank
-    std::size_t width = 0;   ///< src's send width on the channel (doubles)
-  };
-
-  NodeCommPlan() = default;
-  NodeCommPlan(const CommPlan& plan, const simmpi::NodeTopology& topo);
-
-  int num_nodes() const { return num_nodes_; }
-
-  /// Channels crossing (src_node -> dst_node), ascending (src, dst).
-  std::span<const Channel> channels(int src_node, int dst_node) const;
-
-  /// Index of (src, dst) within channels(src_node, dst_node) — the bit a
-  /// forward frame sets for that channel — or -1 when the plan has no such
-  /// channel.
-  int channel_index(int src_node, int dst_node, int src, int dst) const;
-
-  /// Dense num_nodes × num_nodes channel counts (row-major), the shape
-  /// the runtime needs to charge forward-frame bitmap words without
-  /// depending on this layer (Runtime::set_node_topology).
-  std::vector<std::uint32_t> pair_channel_counts() const;
-
- private:
-  int num_nodes_ = 0;
-  std::vector<std::vector<Channel>> pairs_;  ///< dense, src_node-major
-};
+/// Dense num_nodes × num_nodes (row-major) count of the directed `plan`
+/// channels crossing each ordered node pair of `topo`; the diagonal is
+/// zero because same-node channels are never forwarded. This is what
+/// simmpi::NodeRoutingOptions::pair_channel_counts expects: the runtime
+/// sizes the presence bitmap of a leader -> leader forward frame from it.
+std::vector<std::uint32_t> node_pair_channel_counts(
+    const CommPlan& plan, const simmpi::NodeTopology& topo);
 
 /// Per-rank staging facade over the plan. open() hands out encode-in-place
 /// segments; flush() ships whatever coalescing buffered.

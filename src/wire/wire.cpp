@@ -480,36 +480,6 @@ EnvelopeView decode_envelope(std::span<const double> payload) {
   return EnvelopeView{seq, payload.subspan(kEnvelopeDoubles)};
 }
 
-void encode_forward_frame(std::size_t plan_channels,
-                          std::span<const ForwardEntry> entries,
-                          std::span<double> out) {
-  const std::size_t words = forward_bitmap_words(plan_channels);
-  std::size_t total_body = 0;
-  for (const ForwardEntry& e : entries) total_body += e.body.size();
-  DSOUTH_CHECK(out.size() == forward_frame_doubles(plan_channels, total_body));
-  out[0] = forward_magic();
-  for (std::size_t w = 0; w < words; ++w) {
-    out[1 + w] = std::bit_cast<double>(std::uint64_t{0});
-  }
-  std::size_t off = 1 + words;
-  std::size_t prev = 0;
-  bool first = true;
-  for (const ForwardEntry& e : entries) {
-    DSOUTH_CHECK_MSG(e.channel < plan_channels,
-                     "forward entry channel " << e.channel
-                                              << " outside the node plan");
-    DSOUTH_CHECK_MSG(first || e.channel > prev,
-                     "forward entries must be strictly ascending by channel");
-    first = false;
-    prev = e.channel;
-    double& slot = out[1 + e.channel / 64];
-    slot = std::bit_cast<double>(std::bit_cast<std::uint64_t>(slot) |
-                                 (1ULL << (e.channel % 64)));
-    for (std::size_t j = 0; j < e.body.size(); ++j) out[off + j] = e.body[j];
-    off += e.body.size();
-  }
-}
-
 std::size_t tenant_frame_doubles(std::span<const std::size_t> body_lengths) {
   std::size_t total = kTenantHeaderDoubles;
   for (std::size_t len : body_lengths) total += kTenantEntryDoubles + len;
@@ -536,69 +506,6 @@ void encode_tenant_frame(std::span<const TenantEntry> entries,
     for (std::size_t j = 0; j < e.body.size(); ++j) out[off + j] = e.body[j];
     off += e.body.size();
   }
-}
-
-std::size_t forwarded_body_doubles(Family family, std::size_t nb,
-                                   std::span<const double> rest) {
-  if (rest.empty()) {
-    throw_decode_error(DecodeErrorKind::kTruncated, 0,
-                       "forwarded body is empty");
-  }
-  std::size_t len = 0;
-  if (is_envelope(rest)) {
-    // Envelopes pin their body length in the header (offset 3).
-    std::uint64_t inner = 0;
-    if (!integral_in_range(rest[3], 0x1.0p53, inner)) {
-      std::ostringstream os;
-      os << "enveloped forwarded body declares length " << rest[3];
-      throw_decode_error(DecodeErrorKind::kBadLength, 3, os.str());
-    }
-    len = kEnvelopeDoubles + static_cast<std::size_t>(inner);
-  } else if (is_frame(rest)) {
-    // Coalesced frames delimit themselves by walking their entry headers.
-    const std::size_t count = detail::check_frame_header(rest);
-    len = kFrameHeaderDoubles;
-    for (std::size_t i = 0; i < count; ++i) {
-      const auto entry = detail::check_frame_entry(rest, len, nb);
-      len += kFrameEntryDoubles + entry.length;
-    }
-  } else if (is_tenant_frame(rest)) {
-    // Tenant frames pin every entry's body length in its header, so they
-    // delimit themselves without decoding any tenant's body.
-    const std::size_t count = detail::check_tenant_header(rest);
-    len = kTenantHeaderDoubles;
-    for (std::size_t i = 0; i < count; ++i) {
-      const auto entry = detail::check_tenant_entry(rest, len);
-      len += kTenantEntryDoubles + entry.length;
-    }
-  } else {
-    // Bare v1 records are sized by (family, discriminator, width).
-    switch (family) {
-      case Family::kDelta:
-        len = nb;
-        break;
-      case Family::kNorm:
-        len = rest[0] == kSolveDiscriminator ? 2 + nb : 2;
-        break;
-      case Family::kEstimate:
-        len = rest[0] == kSolveDiscriminator ? 3 + 2 * nb : 3 + nb;
-        break;
-    }
-    if (family != Family::kDelta && rest[0] != kSolveDiscriminator &&
-        rest[0] != kResidualDiscriminator) {
-      std::ostringstream os;
-      os << "forwarded body discriminator " << rest[0]
-         << " is neither 0 nor 1";
-      throw_decode_error(DecodeErrorKind::kBadDiscriminator, 0, os.str());
-    }
-  }
-  if (len == 0 || len > rest.size()) {
-    std::ostringstream os;
-    os << "forwarded body of " << len << " doubles exceeds the "
-       << rest.size() << " remaining";
-    throw_decode_error(DecodeErrorKind::kTruncated, 0, os.str());
-  }
-  return len;
 }
 
 }  // namespace dsouth::wire

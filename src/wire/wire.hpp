@@ -247,91 +247,6 @@ void seal_envelope(std::span<double> out);
 EnvelopeView decode_envelope(std::span<const double> payload);
 
 // ---------------------------------------------------------------------------
-// Forwarded-record frames (node-aware routing — DESIGN.md §13,
-// docs/communication.md).
-//
-// Node-aware routing aggregates every record crossing one ordered node
-// pair (and sharing a MsgTag) into a single leader → leader physical
-// message. The frame must carry each record's original (src, dst) channel
-// without paying per-record header bytes — otherwise aggregation saves
-// messages but not bytes. The trick is that the channel list of a node
-// pair is *static* (derivable from the CommPlan + NodeTopology, see
-// NodeCommPlan in comm_plan.hpp), identical on both leaders, and in a
-// deterministic order — so the frame only needs a presence bitmap over
-// that shared list:
-//
-//   [magic, bitmap_word_0 .. bitmap_word_{W-1}, body .. body]
-//
-// W = ceil(plan_channels / 64); bit i of the bitmap (word i/64, bit i%64,
-// stored as raw uint64 bit patterns) marks channel i of the node plan as
-// present, and bodies follow in ascending channel order, at most one per
-// channel per frame. Bodies are ordinary physical payloads (bare v1
-// records, sequenced envelopes, or coalesced frames) and are
-// self-delimiting given the channel's decode family and width, so no
-// length fields are needed either. Overhead is 8(1 + W) bytes per frame
-// against 16 bytes of message header saved per aggregated record: a
-// 3-record frame on a ≤64-channel pair already shrinks inter-node bytes,
-// and the runtime ships 1-record groups bare (byte-identical cost) so
-// aggregation never costs more than direct sends.
-
-/// Forward-frame magic: a quiet NaN one ULP past the envelope magic.
-inline constexpr std::uint64_t kForwardMagicBits = 0x7ff8'd500'57e1'1ed3ULL;
-
-inline double forward_magic() {
-  return std::bit_cast<double>(kForwardMagicBits);
-}
-
-/// True when `payload` leads with the forward-frame magic.
-inline bool is_forward_frame(std::span<const double> payload) {
-  return !payload.empty() &&
-         std::bit_cast<std::uint64_t>(payload[0]) == kForwardMagicBits;
-}
-
-/// Bitmap words needed for a node-pair channel list of `plan_channels`.
-inline std::size_t forward_bitmap_words(std::size_t plan_channels) {
-  return (plan_channels + 63) / 64;
-}
-
-/// Total doubles of a forward frame: magic + bitmap + concatenated bodies.
-inline std::size_t forward_frame_doubles(std::size_t plan_channels,
-                                         std::size_t total_body_doubles) {
-  return 1 + forward_bitmap_words(plan_channels) + total_body_doubles;
-}
-
-/// One record in a forward frame: its index into the node pair's static
-/// channel list (NodeCommPlan order) and its physical payload.
-struct ForwardEntry {
-  std::size_t channel = 0;
-  std::span<const double> body;
-};
-
-/// Serialize `entries` (strictly ascending channel indices, each
-/// < plan_channels) into `out`, which must be exactly
-/// forward_frame_doubles(plan_channels, sum of body sizes) long.
-void encode_forward_frame(std::size_t plan_channels,
-                          std::span<const ForwardEntry> entries,
-                          std::span<double> out);
-
-/// Length in doubles of the single physical body at the head of `rest`,
-/// for a channel decoding `family` records of incoming width `nb` — the
-/// self-delimiting rule forward frames rely on: envelopes declare their
-/// body length, coalesced frames walk their entry headers, bare records
-/// are sized by (family, discriminator, nb). Throws DecodeError when the
-/// head is malformed or `rest` is shorter than the computed length.
-std::size_t forwarded_body_doubles(Family family, std::size_t nb,
-                                   std::span<const double> rest);
-
-/// Walk a forward frame, invoking fn(const ForwardEntry&) per present
-/// channel in ascending channel order. `body_len(channel, rest)` returns
-/// the size of that channel's body at the head of `rest` (compose
-/// forwarded_body_doubles with the channel's family/width — tests and
-/// docs/communication.md's worked example do exactly that). Validates the
-/// magic, bitmap range, and that the bodies consume the payload exactly.
-template <typename LenFn, typename Fn>
-void for_each_forwarded(std::span<const double> frame,
-                        std::size_t plan_channels, LenFn&& body_len, Fn&& fn);
-
-// ---------------------------------------------------------------------------
 // Tenant frames (batched multi-tenant serving — DESIGN.md §14,
 // docs/serving.md).
 //
@@ -357,7 +272,7 @@ void for_each_forwarded(std::span<const double> frame,
 // batch coordinator with a single tenant delegates to the unbatched
 // driver outright (dist/batch.hpp).
 
-/// Tenant-frame magic: a quiet NaN one ULP past the forward magic.
+/// Tenant-frame magic: a quiet NaN two ULPs past the envelope magic.
 inline constexpr std::uint64_t kTenantMagicBits = 0x7ff8'd500'57e1'1ed4ULL;
 
 inline double tenant_magic() {
@@ -458,46 +373,6 @@ void for_each_tenant(std::span<const double> frame, Fn&& fn) {
     off += entry.length;
   }
   detail::check_frame_end(frame, off);
-}
-
-template <typename LenFn, typename Fn>
-void for_each_forwarded(std::span<const double> frame,
-                        std::size_t plan_channels, LenFn&& body_len,
-                        Fn&& fn) {
-  const std::size_t words = forward_bitmap_words(plan_channels);
-  if (frame.size() < 1 + words) {
-    throw_decode_error(DecodeErrorKind::kTruncated, 0,
-                       "forward frame shorter than its bitmap");
-  }
-  if (!is_forward_frame(frame)) {
-    throw_decode_error(DecodeErrorKind::kBadDiscriminator, 0,
-                       "forward frame magic mismatch");
-  }
-  std::size_t off = 1 + words;
-  for (std::size_t c = 0; c < plan_channels; ++c) {
-    const auto word = std::bit_cast<std::uint64_t>(frame[1 + c / 64]);
-    if (((word >> (c % 64)) & 1ULL) == 0) continue;
-    const std::size_t len = body_len(c, frame.subspan(off));
-    if (off + len > frame.size()) {
-      throw_decode_error(DecodeErrorKind::kTruncated, off,
-                         "forward frame body truncated");
-    }
-    fn(ForwardEntry{c, frame.subspan(off, len)});
-    off += len;
-  }
-  if (off != frame.size()) {
-    throw_decode_error(DecodeErrorKind::kTrailing, off,
-                       "forward frame has trailing doubles");
-  }
-  // Bits past plan_channels in the last word must be clear (a set stray
-  // bit means the sender and receiver disagree on the channel list).
-  if (plan_channels % 64 != 0 && words > 0) {
-    const auto last = std::bit_cast<std::uint64_t>(frame[words]);
-    if ((last >> (plan_channels % 64)) != 0) {
-      throw_decode_error(DecodeErrorKind::kBadCount, words,
-                         "forward frame bitmap has bits past the plan");
-    }
-  }
 }
 
 }  // namespace dsouth::wire

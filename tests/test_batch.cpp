@@ -56,7 +56,6 @@ TEST(TenantFrame, RoundTripsEntriesInOrder) {
   wire::encode_tenant_frame(entries, frame);
   EXPECT_TRUE(wire::is_tenant_frame(frame));
   EXPECT_FALSE(wire::is_frame(frame));
-  EXPECT_FALSE(wire::is_forward_frame(frame));
 
   std::vector<int> tenants;
   std::vector<std::vector<double>> bodies;

@@ -83,14 +83,6 @@ TEST(Graph, ConnectedComponents) {
       Graph::from_matrix_structure(sparse::poisson2d_5pt(4, 4)).is_connected());
 }
 
-TEST(Graph, PseudoPeripheralOnPathFindsAnEnd) {
-  std::vector<std::pair<index_t, index_t>> edges;
-  for (index_t i = 0; i + 1 < 20; ++i) edges.emplace_back(i, i + 1);
-  auto g = Graph::from_edges(20, edges);
-  index_t v = g.pseudo_peripheral_vertex(10);
-  EXPECT_TRUE(v == 0 || v == 19);
-}
-
 TEST(Graph, EmptyGraphBehaves) {
   auto g = Graph::from_edges(0, {});
   EXPECT_EQ(g.num_vertices(), 0);

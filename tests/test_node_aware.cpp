@@ -1,7 +1,7 @@
 /// Tests for node-aware hierarchical communication (DESIGN.md §13,
 /// docs/communication.md): NodeTopology construction and deterministic
-/// leader election, the NodeCommPlan static channel lists, the
-/// forward-frame codec round trip, the runtime's tiered hop accounting
+/// leader election, the per-node-pair channel counts
+/// (wire::node_pair_channel_counts), the runtime's tiered hop accounting
 /// (hand-computed byte math), the core invariant that routing never
 /// changes what the wire *delivers* (solver results bit-identical with
 /// the topology off, on as a classifier, and on with leader routing;
@@ -27,7 +27,6 @@
 #include "trace/export.hpp"
 #include "util/rng.hpp"
 #include "wire/comm_plan.hpp"
-#include "wire/wire.hpp"
 
 namespace dsouth {
 namespace {
@@ -106,140 +105,38 @@ Problem make_problem(index_t nx, index_t ranks, std::uint64_t seed) {
 }
 
 // ---------------------------------------------------------------------------
-// NodeCommPlan: static per-node-pair channel lists.
+// node_pair_channel_counts: the per-node-pair channel counts routing prices
+// forward frames by.
 
-TEST(NodeCommPlan, ChannelListsAreDeterministicAndExcludeIntraNode) {
+TEST(NodePairChannelCounts, MatchBruteForceCountOfCrossNodePeers) {
   auto p = make_problem(12, 8, 7);
   dist::DistLayout layout(p.a, p.part);
   const auto topo = simmpi::NodeTopology::ranks_per_node(8, 4);
-  const wire::NodeCommPlan nplan(layout.comm_plan(), topo);
-  EXPECT_EQ(nplan.num_nodes(), 2);
+  const auto counts =
+      wire::node_pair_channel_counts(layout.comm_plan(), topo);
+  ASSERT_EQ(counts.size(), 4u);
 
-  std::size_t total = 0;
+  std::uint32_t total = 0;
   for (int sn = 0; sn < 2; ++sn) {
     for (int dn = 0; dn < 2; ++dn) {
-      const auto chans = nplan.channels(sn, dn);
-      if (sn == dn) {
-        EXPECT_TRUE(chans.empty());
-        continue;
-      }
-      total += chans.size();
-      for (std::size_t i = 0; i < chans.size(); ++i) {
-        EXPECT_EQ(topo.node_of(chans[i].src), sn);
-        EXPECT_EQ(topo.node_of(chans[i].dst), dn);
-        EXPECT_GT(chans[i].width, 0u);
-        if (i > 0) {  // strictly ascending (src, dst) order
-          const bool asc = chans[i - 1].src < chans[i].src ||
-                           (chans[i - 1].src == chans[i].src &&
-                            chans[i - 1].dst < chans[i].dst);
-          EXPECT_TRUE(asc) << "channel list out of order at " << i;
+      std::uint32_t expect = 0;
+      if (sn != dn) {
+        for (int s = 0; s < layout.num_ranks(); ++s) {
+          for (const auto& peer : layout.comm_plan().peers(s)) {
+            if (topo.node_of(s) == sn && topo.node_of(peer.rank) == dn) {
+              ++expect;
+            }
+          }
         }
-        EXPECT_EQ(nplan.channel_index(sn, dn, chans[i].src, chans[i].dst),
-                  static_cast<int>(i));
       }
+      EXPECT_EQ(counts[static_cast<std::size_t>(sn * 2 + dn)], expect)
+          << "node pair " << sn << " -> " << dn;
+      total += expect;
     }
   }
+  EXPECT_EQ(counts[0 * 2 + 0], 0u);  // same-node channels are not forwarded
+  EXPECT_EQ(counts[1 * 2 + 1], 0u);
   EXPECT_GT(total, 0u);  // bisected Poisson grid always crosses nodes
-  EXPECT_EQ(nplan.channel_index(0, 1, 0, 0), -1);  // intra pair: absent
-
-  const auto counts = nplan.pair_channel_counts();
-  ASSERT_EQ(counts.size(), 4u);
-  EXPECT_EQ(counts[0 * 2 + 1], nplan.channels(0, 1).size());
-  EXPECT_EQ(counts[1 * 2 + 0], nplan.channels(1, 0).size());
-}
-
-// ---------------------------------------------------------------------------
-// Forward-frame codec.
-
-TEST(ForwardFrame, RoundTripsBareBodiesInChannelOrder) {
-  // Channel list of 3; records present on channels 0 and 2 with distinct
-  // widths. Bodies are bare kGhostDelta records (headerless: nb doubles).
-  const std::vector<double> body0 = {1.5, -2.5};
-  const std::vector<double> body2 = {7.0};
-  const wire::ForwardEntry entries[] = {{0, body0}, {2, body2}};
-  std::vector<double> frame(wire::forward_frame_doubles(3, 3));
-  wire::encode_forward_frame(3, entries, frame);
-  EXPECT_TRUE(wire::is_forward_frame(frame));
-
-  const std::size_t widths[] = {2, 5, 1};  // per-channel incoming widths
-  std::vector<std::size_t> seen;
-  wire::for_each_forwarded(
-      frame, 3,
-      [&](std::size_t c, std::span<const double> rest) {
-        return wire::forwarded_body_doubles(wire::Family::kDelta, widths[c],
-                                            rest);
-      },
-      [&](const wire::ForwardEntry& e) {
-        seen.push_back(e.channel);
-        if (e.channel == 0) {
-          ASSERT_EQ(e.body.size(), 2u);
-          EXPECT_EQ(e.body[0], 1.5);
-          EXPECT_EQ(e.body[1], -2.5);
-        } else {
-          ASSERT_EQ(e.body.size(), 1u);
-          EXPECT_EQ(e.body[0], 7.0);
-        }
-      });
-  EXPECT_EQ(seen, (std::vector<std::size_t>{0, 2}));
-}
-
-TEST(ForwardFrame, BitmapSpansMultipleWordsPast64Channels) {
-  // 70 channels -> 2 bitmap words; a record on channel 65 exercises the
-  // second word on both sides.
-  const std::vector<double> body = {3.0, 4.0, 5.0};
-  const wire::ForwardEntry entries[] = {{65, body}};
-  std::vector<double> frame(wire::forward_frame_doubles(70, 3));
-  wire::encode_forward_frame(70, entries, frame);
-  EXPECT_EQ(wire::forward_bitmap_words(70), 2u);
-
-  std::size_t hits = 0;
-  wire::for_each_forwarded(
-      frame, 70,
-      [&](std::size_t, std::span<const double> rest) {
-        return wire::forwarded_body_doubles(wire::Family::kDelta, 3, rest);
-      },
-      [&](const wire::ForwardEntry& e) {
-        ++hits;
-        EXPECT_EQ(e.channel, 65u);
-        EXPECT_EQ(e.body.size(), 3u);
-      });
-  EXPECT_EQ(hits, 1u);
-}
-
-TEST(ForwardFrame, MalformedFramesThrowStructuredErrors) {
-  const std::vector<double> body = {1.0};
-  const wire::ForwardEntry entries[] = {{1, body}};
-  std::vector<double> frame(wire::forward_frame_doubles(2, 1));
-  wire::encode_forward_frame(2, entries, frame);
-  auto len = [&](std::size_t, std::span<const double> rest) {
-    return wire::forwarded_body_doubles(wire::Family::kDelta, 1, rest);
-  };
-  auto sink = [](const wire::ForwardEntry&) {};
-
-  // Truncated: drop the body.
-  std::vector<double> cut(frame.begin(), frame.end() - 1);
-  EXPECT_THROW(wire::for_each_forwarded(std::span<const double>(cut), 2, len,
-                                        sink),
-               wire::DecodeError);
-  // Wrong magic.
-  std::vector<double> bad = frame;
-  bad[0] = 0.0;
-  EXPECT_THROW(wire::for_each_forwarded(std::span<const double>(bad), 2, len,
-                                        sink),
-               wire::DecodeError);
-  // Trailing doubles after the declared bodies.
-  std::vector<double> extra = frame;
-  extra.push_back(9.0);
-  EXPECT_THROW(wire::for_each_forwarded(std::span<const double>(extra), 2,
-                                        len, sink),
-               wire::DecodeError);
-  // A stray bit past the plan's channel count.
-  std::vector<double> stray = frame;
-  stray[1] = std::bit_cast<double>(std::bit_cast<std::uint64_t>(stray[1]) |
-                                   (1ULL << 5));
-  EXPECT_THROW(wire::for_each_forwarded(std::span<const double>(stray), 2,
-                                        len, sink),
-               wire::DecodeError);
 }
 
 // ---------------------------------------------------------------------------
@@ -247,41 +144,49 @@ TEST(ForwardFrame, MalformedFramesThrowStructuredErrors) {
 
 TEST(NodeRuntime, TierAccountingMatchesHandComputedHops) {
   // 4 ranks on 2 nodes: node0 = {0, 1} (leader 0), node1 = {2, 3}
-  // (leader 2). Pretend the plan has 4 channels per inter-node pair.
+  // (leader 2). Pretend the plan has `channels` channels per inter-node
+  // pair: 4 needs W = 1 bitmap word, 65 needs W = 2 (W = ceil(channels/64)).
   const auto topo = simmpi::NodeTopology::ranks_per_node(4, 2);
-  simmpi::Runtime rt(4);
-  simmpi::NodeRoutingOptions nro;
-  nro.route_via_leaders = true;
-  nro.pair_channel_counts = {0, 4, 4, 0};
-  rt.set_node_topology(&topo, nro);
-  ASSERT_NE(rt.node_topology(), nullptr);
-  EXPECT_TRUE(rt.node_routing());
+  const struct {
+    std::uint32_t channels;
+    std::size_t words;
+  } cases[] = {{4, 1}, {65, 2}};
+  for (const auto& [channels, words] : cases) {
+    SCOPED_TRACE(channels);
+    simmpi::Runtime rt(4);
+    simmpi::NodeRoutingOptions nro;
+    nro.route_via_leaders = true;
+    nro.pair_channel_counts = {0, channels, channels, 0};
+    rt.set_node_topology(&topo, nro);
+    ASSERT_NE(rt.node_topology(), nullptr);
+    EXPECT_TRUE(rt.node_routing());
 
-  // Two puts cross node0 -> node1 under one tag: a group of 2.
-  rt.put(0, 2, simmpi::MsgTag::kSolve, std::vector<double>{1.0});
-  rt.put(1, 3, simmpi::MsgTag::kSolve, std::vector<double>{2.0, 3.0});
-  // One intra-node put: always a direct hop.
-  rt.put(0, 1, simmpi::MsgTag::kSolve, std::vector<double>{4.0});
-  rt.fence();
+    // Two puts cross node0 -> node1 under one tag: a group of 2.
+    rt.put(0, 2, simmpi::MsgTag::kSolve, std::vector<double>{1.0});
+    rt.put(1, 3, simmpi::MsgTag::kSolve, std::vector<double>{2.0, 3.0});
+    // One intra-node put: always a direct hop.
+    rt.put(0, 1, simmpi::MsgTag::kSolve, std::vector<double>{4.0});
+    rt.fence();
 
-  // Delivery is unchanged by routing (hop accounting only).
-  ASSERT_EQ(rt.window(2).size(), 1u);
-  EXPECT_EQ(rt.window(2)[0].source, 0);
-  ASSERT_EQ(rt.window(3).size(), 1u);
-  EXPECT_EQ(rt.window(3)[0].source, 1);
-  ASSERT_EQ(rt.window(1).size(), 1u);
+    // Delivery is unchanged by routing (hop accounting only).
+    ASSERT_EQ(rt.window(2).size(), 1u);
+    EXPECT_EQ(rt.window(2)[0].source, 0);
+    ASSERT_EQ(rt.window(3).size(), 1u);
+    EXPECT_EQ(rt.window(3)[0].source, 1);
+    ASSERT_EQ(rt.window(1).size(), 1u);
 
-  const auto& cs = rt.stats();
-  // Intra tier: relay-up 1 -> leader 0 (2 doubles = 32B), relay-down
-  // leader 2 -> 3 (2 doubles = 32B), direct 0 -> 1 (1 double = 24B).
-  EXPECT_EQ(cs.intra_messages(), 3u);
-  EXPECT_EQ(cs.intra_bytes(), 32u + 32u + 24u);
-  // Inter tier: one leader->leader frame. W = ceil(4/64) = 1 bitmap word;
-  // bytes = message_bytes(1 magic + 1 word + 3 body doubles) = 16 + 40.
-  EXPECT_EQ(cs.inter_messages(), 1u);
-  EXPECT_EQ(cs.inter_bytes(), simmpi::message_bytes(5));
-  EXPECT_EQ(cs.forward_frames(), 1u);
-  EXPECT_EQ(cs.forwarded_records(), 2u);
+    const auto& cs = rt.stats();
+    // Intra tier: relay-up 1 -> leader 0 (2 doubles = 32B), relay-down
+    // leader 2 -> 3 (2 doubles = 32B), direct 0 -> 1 (1 double = 24B).
+    EXPECT_EQ(cs.intra_messages(), 3u);
+    EXPECT_EQ(cs.intra_bytes(), 32u + 32u + 24u);
+    // Inter tier: one leader->leader frame of 1 magic + W bitmap words +
+    // 3 body doubles: 16 + 40 bytes at W = 1, 16 + 48 at W = 2.
+    EXPECT_EQ(cs.inter_messages(), 1u);
+    EXPECT_EQ(cs.inter_bytes(), simmpi::message_bytes(1 + words + 3));
+    EXPECT_EQ(cs.forward_frames(), 1u);
+    EXPECT_EQ(cs.forwarded_records(), 2u);
+  }
 }
 
 TEST(NodeRuntime, SingleRecordGroupsShipBareAndClassifierChargesDirect) {

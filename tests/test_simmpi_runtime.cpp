@@ -68,8 +68,6 @@ TEST(Runtime, StatsCountPerTagAndPerRank) {
   EXPECT_EQ(s.total_messages(), 3u);
   EXPECT_EQ(s.total_messages(MsgTag::kSolve), 2u);
   EXPECT_EQ(s.total_messages(MsgTag::kResidual), 1u);
-  EXPECT_EQ(s.messages_from(0), 2u);
-  EXPECT_EQ(s.messages_from(3), 1u);
   EXPECT_DOUBLE_EQ(s.comm_cost(), 3.0 / 4.0);
   EXPECT_DOUBLE_EQ(s.comm_cost(MsgTag::kResidual), 0.25);
   EXPECT_EQ(s.total_bytes(),
@@ -155,7 +153,6 @@ TEST(CommStats, ResetClearsEverything) {
   s.reset();
   EXPECT_EQ(s.total_messages(), 0u);
   EXPECT_EQ(s.total_bytes(), 0u);
-  EXPECT_EQ(s.messages_from(0), 0u);
   EXPECT_EQ(s.logical_messages(), 0u);
 }
 

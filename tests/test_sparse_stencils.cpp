@@ -58,15 +58,6 @@ TEST(Poisson3D7pt, StructureAndSpd) {
   EXPECT_NO_THROW(DenseCholesky{a});
 }
 
-TEST(Poisson3D27pt, StructureAndSpd) {
-  auto a = poisson3d_27pt(3, 3, 3);
-  EXPECT_EQ(a.rows(), 27);
-  EXPECT_EQ(a.row_nnz(13), 27);  // 26 neighbors + diagonal
-  EXPECT_DOUBLE_EQ(a.at(13, 13), 26.0);
-  EXPECT_TRUE(a.is_symmetric(0.0));
-  EXPECT_NO_THROW(DenseCholesky{a});
-}
-
 TEST(Stencils, RowSumsVanishInTheInterior) {
   // Pure Dirichlet diffusion: interior rows (away from the boundary) have
   // zero row sum; boundary rows have positive row sums.
@@ -155,7 +146,7 @@ TEST(Stencils, UnitScaledMMatrixJacobiAlwaysConverges) {
   // λ_max < 2 (see DESIGN.md §5) — point Jacobi converges. Spot-check the
   // diffusion generators.
   for (auto* a : {new CsrMatrix(poisson2d_5pt(12, 12)),
-                  new CsrMatrix(poisson3d_27pt(5, 5, 5))}) {
+                  new CsrMatrix(poisson3d_7pt(5, 5, 5))}) {
     auto s = symmetric_unit_diagonal_scale(*a);
     EXPECT_LT(lambda_max_estimate(s.a, 200), 2.0);
     delete a;
