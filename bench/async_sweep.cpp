@@ -1,5 +1,5 @@
 /// Async sweep (DESIGN.md §12): Distributed Southwell vs. the other three
-/// solvers under the EventDriven delivery policy, as asynchrony grows
+/// solvers under event-driven (async-window) delivery, as asynchrony grows
 /// along two axes — the per-message latency spread (uniform [0, L] epoch
 /// draws) and the runtime-enforced staleness bound S. For each grid point
 /// every solver runs relax-on-arrival for 50 parallel steps and the bench

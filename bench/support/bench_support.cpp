@@ -456,9 +456,9 @@ void BenchRecorder::add_run(
        << ",\"rejected_stale\":" << fs.rejected_stale
        << ",\"refreshes_sent\":" << fs.refreshes_sent;
   }
-  // Async-delivery totals, present only when the run used the EventDriven
-  // policy (bulk-synchronous records stay byte-identical to the previous
-  // schema). Deterministic: latency draws are stateless hashes.
+  // Async-delivery totals, present only when the run was async (nonzero
+  // staleness; bulk-synchronous records stay byte-identical to the
+  // previous schema). Deterministic: latency draws are stateless hashes.
   if (result.async_totals) {
     const auto& at = *result.async_totals;
     os << ",\"async_epochs\":" << at.epochs

@@ -80,8 +80,8 @@ dist::DistRunOptions default_run_options();
 /// Also applies the weak-delivery knobs `-delay-prob P` (per-message delay
 /// probability, default 0 = faithful bulk-synchronous delivery) and
 /// `-max-delay K` (delays are 1..K extra fences, default 2), and the
-/// event-driven delivery knobs `-async` (switch to the EventDriven policy
-/// and relax-on-arrival solver stepping), `-staleness S` (runtime-enforced
+/// event-driven delivery knobs `-async` (give the runtime an async window
+/// and switch to relax-on-arrival solver stepping), `-staleness S` (runtime-enforced
 /// staleness bound, default 4; 0 reduces to bulk-synchronous timing),
 /// `-min-latency`/`-max-latency` (per-message latency window in epochs,
 /// defaults 0/3) and `-async-seed`. These DO change the trajectory — they

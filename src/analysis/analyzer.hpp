@@ -275,13 +275,12 @@ struct FaultReport {
 FaultReport analyze_faults(const RunTrace& run);
 
 // ---------------------------------------------------------------------------
-// (f) Asynchronous delivery (simmpi EventDriven policy)
+// (f) Asynchronous delivery (simmpi::AsyncWindow)
 // ---------------------------------------------------------------------------
 
-/// Tally of the version-4 "deliver" events the runtime records when the
-/// EventDriven delivery policy is attached (trace.hpp: rank = destination,
-/// peer = source, tag = MsgTag code, a0 = staleness in epochs, a1 = payload
-/// doubles). Empty/zero for bulk-synchronous traces — the renderers emit an
+/// Tally of the version-4 "deliver" events an async runtime records
+/// (trace.hpp: rank = destination, peer = source, tag = MsgTag code, a0 =
+/// staleness in epochs, a1 = payload doubles). Empty/zero for bulk-synchronous traces — the renderers emit an
 /// async section only when any() is true.
 struct AsyncReport {
   std::uint64_t delivered = 0;      ///< total matured deliveries

@@ -47,7 +47,7 @@ namespace {
 /// "compute" events) still parse; the critical-path report then sees zero
 /// flops and says so (RunTrace::version lets callers warn). Version 3
 /// adds "fault" events (fault injection, src/faults); version 4 adds
-/// "deliver" events (asynchronous delivery, simmpi/delivery.hpp); version
+/// "deliver" events (asynchronous delivery, simmpi::AsyncWindow); version
 /// 5 adds "hop" events (node-aware routing, simmpi/node_topology.hpp);
 /// version 6 adds "elastic" events (checkpoint/restart + repartitioning,
 /// src/elastic) — all picked up through the shared event-kind table in

@@ -35,8 +35,8 @@
 /// per-tenant trajectories are bit-identical to B solo runs under the
 /// default bulk-synchronous configuration (tests/test_batch.cpp).
 ///
-/// Assembly: the runtime, its attachments (delivery policy, node topology,
-/// tracer, profiler, fault schedule) and the B solvers come from
+/// Assembly: the runtime (fabric clock included), its attachments (node
+/// topology, tracer, profiler, fault schedule) and the B solvers come from
 /// dist::RunHarness (harness.hpp), the same stack every driver builds; so
 /// do the CommStats totals and the trace/profiler teardown.
 ///

@@ -87,8 +87,8 @@ struct NodeTotals {
   std::uint64_t forwarded_records = 0;
 };
 
-/// End-of-run asynchronous-delivery accounting, present iff the run used
-/// the EventDriven policy (`DistRunOptions::async`). Counts come from the
+/// End-of-run asynchronous-delivery accounting, present iff the run was
+/// async (`DistRunOptions::async`, nonzero staleness). Counts come from the
 /// runtime's CommStats; all integers, deterministic across backends.
 struct AsyncTotals {
   std::uint64_t delivered = 0;      ///< messages matured after a latency draw
@@ -109,11 +109,11 @@ struct DistRunOptions {
   /// Optional weak-delivery model (message delays) for robustness studies;
   /// defaults to faithful bulk-synchronous delivery.
   simmpi::DeliveryModel delivery{};
-  /// Event-driven (asynchronous) delivery: attach an EventDrivenPolicy to
-  /// the runtime and switch every solver to its relax-on-arrival step
-  /// (one fused epoch per parallel step). Latency draws are stateless
-  /// SplitMix64 hashes, so async runs are bit-identical across execution
-  /// backends. Resilience is auto-enabled (async arrival is out-of-order
+  /// Event-driven (asynchronous) delivery: build the runtime with an async
+  /// window from the four fields below (simmpi::AsyncWindow) and switch
+  /// every solver to its relax-on-arrival step (one fused epoch per
+  /// parallel step). Latency draws are stateless keyed hashes, so async
+  /// runs are bit-identical across execution backends. Resilience is auto-enabled (async arrival is out-of-order
   /// by construction, and the seq-gated absolute-x receive path is what
   /// keeps DS's Γ̃ bookkeeping correct); this inherits resilience's
   /// incompatibilities (coalescing, DS send_threshold).
@@ -127,9 +127,9 @@ struct DistRunOptions {
   /// Hard bound enforced by the runtime on message staleness: a message
   /// staged at epoch e is delivered no later than the fence closing epoch
   /// e + max_staleness, whatever the latency draw said. 0 degenerates the
-  /// policy to BulkSynchronous outright (BSP solver stepping, no deliver
-  /// events, no async totals) — the run is then byte-identical to a
-  /// non-async run with resilience enabled. Async only.
+  /// window to bulk-synchronous delivery outright (BSP solver stepping, no
+  /// deliver events, no async totals) — the run is then byte-identical to
+  /// a non-async run with resilience enabled. Async only.
   std::uint64_t max_staleness = 4;
   DistributedSouthwellOptions ds{};
   /// Parallel Southwell ablation: disable explicit residual updates
@@ -247,7 +247,7 @@ struct DistRunResult {
   std::shared_ptr<const trace::TraceLog> trace_log;
   /// Fault/recovery totals iff a nonzero FaultPlan was attached.
   std::optional<FaultSummary> fault_summary;
-  /// Async-delivery totals iff the run used the EventDriven policy.
+  /// Async-delivery totals iff the run was async (nonzero staleness).
   std::optional<AsyncTotals> async_totals;
   /// Two-tier hop totals iff a non-flat node topology was attached.
   std::optional<NodeTotals> node_totals;

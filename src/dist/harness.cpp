@@ -21,21 +21,16 @@ RunHarness::RunHarness(DistMethod method,
                        std::span<const DistLayout* const> layouts,
                        std::span<const TenantSpec> specs,
                        const DistRunOptions& opt)
-    : opt_(&opt), rt_(layouts[0]->num_ranks(), opt.machine, opt.delivery) {
+    : opt_(&opt),
+      rt_(layouts[0]->num_ranks(), opt.machine, opt.delivery,
+          // A non-async run gets the default, bulk-synchronous window.
+          opt.async ? simmpi::AsyncWindow{opt.async_seed,
+                                          opt.async_min_latency,
+                                          opt.async_max_latency,
+                                          opt.max_staleness}
+                    : simmpi::AsyncWindow{}) {
   const DistLayout& layout = *layouts[0];
   const bool batched = specs.size() > 1;
-  // The delivery policy must be attached before the tracer (so the async
-  // metrics register) and before the solver (so async_mode() is stable
-  // from construction on).
-  if (opt.async) {
-    simmpi::EventDrivenOptions eo;
-    eo.seed = opt.async_seed;
-    eo.min_latency_epochs = opt.async_min_latency;
-    eo.max_latency_epochs = opt.async_max_latency;
-    eo.max_staleness = opt.max_staleness;
-    async_policy_ = std::make_unique<simmpi::EventDrivenPolicy>(eo);
-    rt_.set_delivery_policy(async_policy_.get());
-  }
   // Node-aware topology. The built topology must outlive the runtime,
   // hence the member optional. Flat topologies degenerate to "detached"
   // inside the runtime, so attaching one here is harmless (and

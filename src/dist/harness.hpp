@@ -9,14 +9,12 @@
 /// Each constructs and attaches the exact same stack in the exact same
 /// order:
 ///
-///   runtime → delivery policy → node topology → tracer → profiler →
-///   fault schedule → [tenant count] → backend → solver(s) →
-///   coalescing or batch staging → resilience
+///   runtime (fabric clock fixed at construction) → node topology →
+///   tracer → profiler → fault schedule → [tenant count] → backend →
+///   solver(s) → coalescing or batch staging → resilience
 ///
-/// The order is load-bearing: the delivery policy must precede the tracer
-/// (async metrics register at attach) and the solvers (async_mode() must
-/// be stable from construction); the tracer must precede the solvers
-/// (ctors register metrics). Sharing the assembly makes the elastic
+/// The order is load-bearing: the tracer must precede the solvers (ctors
+/// register metrics). Sharing the assembly makes the elastic
 /// driver's fault-free runs byte-identical to run_distributed, and a
 /// batch compose with every attachment the way a solo run does, *by
 /// construction* rather than by parallel maintenance (tests/test_elastic.cpp
@@ -28,7 +26,6 @@
 
 #include "dist/batch.hpp"
 #include "dist/driver.hpp"
-#include "simmpi/delivery.hpp"
 
 namespace dsouth::dist {
 
@@ -107,7 +104,6 @@ class RunHarness {
  private:
   const DistRunOptions* opt_;
   simmpi::Runtime rt_;
-  std::unique_ptr<simmpi::EventDrivenPolicy> async_policy_;
   std::optional<simmpi::NodeTopology> run_topo_;
   std::unique_ptr<trace::Tracer> tracer_;
   std::unique_ptr<faults::FaultSchedule> fault_schedule_;

@@ -126,8 +126,8 @@ DistStepStats DistStationarySolver::step() {
   if (async_mode()) {
     // Relax-on-arrival: absorb whatever matured at earlier fences, run the
     // solver's fused send phase on that (staleness-bounded) state, fence
-    // once. Messages sent here land whenever the delivery policy's
-    // virtual clock says they do.
+    // once. Messages sent here land whenever the runtime's fabric clock
+    // says they do.
     for_each_rank([this](simmpi::RankContext& ctx, int p) {
       rank_absorb(ctx, p);
       rank_async_send(ctx, p);

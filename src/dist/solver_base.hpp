@@ -128,9 +128,9 @@ class DistStationarySolver {
 
   /// Advance one parallel step (including its fences).
   ///
-  /// Under a BulkSynchronous delivery policy this is the paper's stepping:
-  /// one or two epochs with every message delivered at its closing fence.
-  /// Under an EventDriven policy (async_mode()) every solver switches to
+  /// Under bulk-synchronous delivery this is the paper's stepping: one or
+  /// two epochs with every message delivered at its closing fence. On an
+  /// async runtime (async_mode()) every solver switches to
   /// single-epoch relax-on-arrival stepping: absorb whatever matured into
   /// the window, relax on the (possibly stale, staleness-bounded) state,
   /// fold any phase-B traffic into the same epoch, fence once.
@@ -301,8 +301,8 @@ class DistStationarySolver {
   std::span<const value_t> local_r(int p) const { return r_[p]; }
 
  protected:
-  /// True when the runtime's delivery policy is EventDriven — the cue for
-  /// step() implementations to take their single-epoch async path.
+  /// True when the runtime has an async window — the cue for step()
+  /// implementations to take their single-epoch async path.
   bool async_mode() const { return rt_->async_delivery(); }
 
   /// Run fn(ctx, p) for every rank p via the backend (one epoch phase).

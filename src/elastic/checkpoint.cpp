@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstring>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -58,23 +59,23 @@ class Reader {
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   double f64() { return std::bit_cast<double>(u64()); }
   std::vector<double> doubles() {
-    const std::uint64_t n = len();
+    const std::uint64_t n = count();
     std::vector<double> v;
     v.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) v.push_back(f64());
     return v;
   }
   std::vector<std::uint64_t> u64s() {
-    const std::uint64_t n = len();
+    const std::uint64_t n = count();
     std::vector<std::uint64_t> v;
     v.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) v.push_back(u64());
     return v;
   }
-  bool done() const { return pos_ == words_.size(); }
-
- private:
-  std::uint64_t len() {
+  /// An element count: every element takes at least one word, so a count
+  /// beyond the words left is corrupt — checked before anything is sized
+  /// from it.
+  std::uint64_t count() {
     const std::uint64_t n = u64();
     DSOUTH_CHECK_MSG(n <= words_.size() - pos_,
                      "checkpoint: length prefix " << n
@@ -82,7 +83,15 @@ class Reader {
                                                   << words_.size() - pos_);
     return n;
   }
+  /// A rank id in [0, num_ranks).
+  int rank(int num_ranks) {
+    const std::int64_t v = i64();
+    DSOUTH_CHECK_MSG(v >= 0 && v < num_ranks, "checkpoint: bad rank " << v);
+    return static_cast<int>(v);
+  }
+  bool done() const { return pos_ == words_.size(); }
 
+ private:
   std::span<const std::uint64_t> words_;
   std::size_t pos_ = 0;
 };
@@ -91,9 +100,9 @@ void write_runtime(Writer& w, const simmpi::RuntimeState& rs) {
   w.u64(rs.epochs);
   w.f64(rs.model_time);
   w.f64(rs.last_epoch_seconds);
-  w.u64(rs.delivery_state);
   w.u64(rs.arrival_counter);
   w.u64s(rs.lane_seq);
+  w.doubles(rs.pending_flops);
   std::vector<std::uint64_t> stats;
   rs.stats.save(stats);
   w.u64s(stats);
@@ -129,31 +138,36 @@ simmpi::RuntimeState read_runtime(Reader& r, int num_ranks) {
   rs.epochs = r.u64();
   rs.model_time = r.f64();
   rs.last_epoch_seconds = r.f64();
-  rs.delivery_state = r.u64();
   rs.arrival_counter = r.u64();
   rs.lane_seq = r.u64s();
   DSOUTH_CHECK_MSG(
       rs.lane_seq.size() == static_cast<std::size_t>(num_ranks),
       "checkpoint: lane_seq count " << rs.lane_seq.size() << " != ranks "
                                     << num_ranks);
+  rs.pending_flops = r.doubles();
+  DSOUTH_CHECK_MSG(rs.pending_flops.size() ==
+                       static_cast<std::size_t>(num_ranks),
+                   "checkpoint: pending_flops count "
+                       << rs.pending_flops.size() << " != ranks "
+                       << num_ranks);
   const std::vector<std::uint64_t> stats = r.u64s();
   rs.stats.load(stats);
-  const std::uint64_t n_win = r.u64();
+  const std::uint64_t n_win = r.count();
   rs.window_msgs.reserve(n_win);
   for (std::uint64_t i = 0; i < n_win; ++i) {
     simmpi::RuntimeState::WindowMsg m;
-    m.dest = static_cast<int>(r.i64());
-    m.source = static_cast<int>(r.i64());
+    m.dest = r.rank(num_ranks);
+    m.source = r.rank(num_ranks);
     m.tag = read_tag(r);
     m.payload = r.doubles();
     rs.window_msgs.push_back(std::move(m));
   }
-  const std::uint64_t n_def = r.u64();
+  const std::uint64_t n_def = r.count();
   rs.deferred.reserve(n_def);
   for (std::uint64_t i = 0; i < n_def; ++i) {
     simmpi::RuntimeState::InFlight m;
-    m.dest = static_cast<int>(r.i64());
-    m.source = static_cast<int>(r.i64());
+    m.dest = r.rank(num_ranks);
+    m.source = r.rank(num_ranks);
     m.tag = read_tag(r);
     m.seq = r.u64();
     m.staged_epoch = r.u64();
@@ -198,24 +212,23 @@ dist::DistStationarySolver::SolverState read_solver(Reader& r) {
   dist::DistStationarySolver::SolverState ss;
   ss.resil_step_count = static_cast<index_t>(r.i64());
   auto nested = [&r](auto& outer) {
-    const std::uint64_t n = r.u64();
-    outer.resize(n);
+    outer.resize(r.count());
     for (auto& inner : outer) inner = r.doubles();
   };
   nested(ss.x);
   nested(ss.r);
-  ss.send_seq.resize(r.u64());
+  ss.send_seq.resize(r.count());
   for (auto& per_peer : ss.send_seq) per_peer = r.u64s();
-  ss.ghost_x.resize(r.u64());
+  ss.ghost_x.resize(r.count());
   for (auto& per_peer : ss.ghost_x) nested(per_peer);
-  ss.recv_min_seq.resize(r.u64());
+  ss.recv_min_seq.resize(r.count());
   for (auto& per_peer : ss.recv_min_seq) per_peer = r.u64s();
-  ss.last_send_step.resize(r.u64());
+  ss.last_send_step.resize(r.count());
   for (auto& per_peer : ss.last_send_step) {
-    per_peer.resize(r.u64());
+    per_peer.resize(r.count());
     for (auto& s : per_peer) s = static_cast<index_t>(r.i64());
   }
-  ss.resil_stats.resize(r.u64());
+  ss.resil_stats.resize(r.count());
   for (auto& rs : ss.resil_stats) {
     rs.rejected_corrupt = r.u64();
     rs.rejected_stale = r.u64();
@@ -282,9 +295,12 @@ Checkpoint decode(std::span<const std::uint8_t> bytes) {
                                                payload_words);
   DSOUTH_CHECK_MSG(fnv1a(payload) == all[3], "checkpoint: checksum mismatch");
 
+  DSOUTH_CHECK_MSG(all[4] > 0 && std::in_range<int>(all[4]),
+                   "checkpoint: bad rank count " << all[4]);
+  DSOUTH_CHECK_MSG(std::in_range<int>(all[5]),
+                   "checkpoint: bad method id " << all[5]);
   Checkpoint c;
   c.num_ranks = static_cast<int>(all[4]);
-  DSOUTH_CHECK_MSG(c.num_ranks > 0, "checkpoint: bad rank count");
   c.method = static_cast<int>(all[5]);
   c.flags = all[6];
   c.epoch = all[7];

@@ -24,9 +24,11 @@
 ///   payload: RuntimeState fields, then SolverState fields, each
 ///            length-prefixed where variable-sized.
 ///
-/// The checksum is FNV-1a 64 over the payload words; decode() verifies it
-/// and every length prefix, so a truncated or bit-flipped buffer fails
-/// loudly instead of resuming from garbage. `method`/`flags` identify the
+/// The checksum is FNV-1a 64 over the payload words; decode() verifies it,
+/// every length prefix and every rank id and tag, so a truncated or
+/// bit-flipped buffer fails loudly instead of resuming from garbage, and a
+/// buffer that decodes re-encodes to itself byte for byte
+/// (tests/test_checkpoint_fuzz.cpp). `method`/`flags` identify the
 /// configuration that captured the state — restoring into a different
 /// solver class or feature combination is a caller error the elastic
 /// driver checks before touching any solver.
@@ -42,8 +44,9 @@ namespace dsouth::elastic {
 
 using sparse::index_t;
 
-/// Current encoder version (decode() rejects anything else).
-inline constexpr std::uint64_t kCheckpointVersion = 1;
+/// Current encoder version (decode() rejects anything else; DESIGN.md §15
+/// lists what each version holds).
+inline constexpr std::uint64_t kCheckpointVersion = 2;
 
 /// Configuration bits carried in the header's `flags` word. They pin the
 /// feature combination the state was captured under; restore into a
@@ -69,9 +72,9 @@ struct Checkpoint {
 std::vector<std::uint8_t> encode(const Checkpoint& c);
 
 /// Parse and verify (magic, version, checksum, every length prefix) a
-/// buffer produced by encode(). Malformed input is checked fatal — a
-/// checkpoint is trusted state, not a network input, so corruption means
-/// the experiment itself is broken.
+/// buffer produced by encode(). Malformed input throws util::CheckError
+/// and never crashes — a checkpoint is trusted state, not a network input,
+/// so corruption means the experiment itself is broken.
 Checkpoint decode(std::span<const std::uint8_t> bytes);
 
 }  // namespace dsouth::elastic

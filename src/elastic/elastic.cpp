@@ -178,9 +178,9 @@ ElasticRunResult run_elastic(dist::DistMethod method, const CsrMatrix& a,
       h = std::make_unique<dist::RunHarness>(method, *layout, b, x_restored,
                                              opt);
       // Restore the runtime's deterministic cursors (epoch, model time,
-      // stats, RNG and send counters). In-flight traffic is NOT restored:
-      // a permanent failure loses it, and the fresh solver's setup re-seeds
-      // every ghost cache, so nothing depends on it.
+      // stats, send counters, pending flops). In-flight traffic is NOT
+      // restored: a permanent failure loses it, and the fresh solver's
+      // setup re-seeds every ghost cache, so nothing depends on it.
       simmpi::RuntimeState rs = c.runtime;
       rs.window_msgs.clear();
       rs.deferred.clear();

@@ -3,41 +3,11 @@
 #include <algorithm>
 
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace dsouth::faults {
 
 namespace {
-
-/// SplitMix64 output function (same constants the runtime's delay RNG
-/// uses), applied as a stateless avalanche over the draw key.
-inline std::uint64_t mix(std::uint64_t z) {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-/// Hash of (seed, salt, epoch, src, dst, seq). Each fault type uses its
-/// own salt so the draws are mutually independent; `lane` further splits
-/// one fault type into independent sub-draws (e.g. corrupt index vs bit).
-inline std::uint64_t draw(std::uint64_t seed, std::uint64_t salt,
-                          std::uint64_t epoch, int src, int dst,
-                          std::uint64_t seq, std::uint64_t lane = 0) {
-  std::uint64_t h = mix(seed ^ salt);
-  h = mix(h ^ epoch);
-  h = mix(h ^ ((static_cast<std::uint64_t>(static_cast<std::uint32_t>(src))
-                << 32) |
-               static_cast<std::uint32_t>(dst)));
-  h = mix(h ^ seq);
-  if (lane != 0) h = mix(h ^ lane);
-  return h;
-}
-
-/// Map a hash to a uniform double in [0, 1) — same bit recipe as the
-/// runtime's delivery-delay draw.
-inline double unit(std::uint64_t h) {
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
 
 // Per-fault-type salts (arbitrary distinct constants).
 constexpr std::uint64_t kSaltDrop = 0xD409ULL;
@@ -129,7 +99,8 @@ FaultSchedule::FaultSchedule(const FaultPlan& plan, int num_ranks)
       auto& e = kill_epochs_[static_cast<std::size_t>(r)];
       for (std::uint64_t epoch = 0;
            epoch < rk.max_kill_epoch && epoch < e; ++epoch) {
-        if (unit(draw(plan.seed, kSaltKill, epoch, r, r, /*seq=*/0)) <
+        if (util::unit_interval(util::keyed_draw(plan.seed, kSaltKill, epoch,
+                                                 r, r, /*seq=*/0)) <
             rk.probability) {
           e = epoch;
           break;
@@ -153,44 +124,36 @@ FaultDecision FaultSchedule::decide(std::uint64_t epoch, int src, int dst,
   DSOUTH_ASSERT(src >= 0 && src < num_ranks_);
   DSOUTH_ASSERT(dst >= 0 && dst < num_ranks_);
   const EdgeFaults& e = edge(src, dst);
-  const std::uint64_t seed = plan_.seed;
+  // Every draw is keyed by this message; `hit` is the coin of one fault
+  // type, its lane-1/2 sub-draws size the fault.
+  const auto draw = [&](std::uint64_t salt, std::uint64_t lane) {
+    return util::keyed_draw(plan_.seed, salt, epoch, src, dst, seq, lane);
+  };
+  const auto hit = [&](double p, std::uint64_t salt) {
+    return p > 0.0 && util::unit_interval(draw(salt, 0)) < p;
+  };
   FaultDecision d;
-  if (e.drop_probability > 0.0 &&
-      unit(draw(seed, kSaltDrop, epoch, src, dst, seq)) <
-          e.drop_probability) {
+  if (hit(e.drop_probability, kSaltDrop)) {
     d.drop = true;
     return d;  // a dropped message suffers no further faults
   }
-  if (e.duplicate_probability > 0.0 &&
-      unit(draw(seed, kSaltDuplicate, epoch, src, dst, seq)) <
-          e.duplicate_probability) {
-    d.duplicate = true;
-  }
-  if (e.reorder_probability > 0.0 &&
-      unit(draw(seed, kSaltReorder, epoch, src, dst, seq)) <
-          e.reorder_probability) {
+  d.duplicate = hit(e.duplicate_probability, kSaltDuplicate);
+  if (hit(e.reorder_probability, kSaltReorder)) {
     d.reorder_extra =
         1 + static_cast<int>(
-                draw(seed, kSaltReorder, epoch, src, dst, seq, /*lane=*/1) %
+                draw(kSaltReorder, 1) %
                 static_cast<std::uint64_t>(plan_.max_reorder_epochs));
   }
-  if (payload_doubles > 0 && e.corrupt_probability > 0.0 &&
-      unit(draw(seed, kSaltCorrupt, epoch, src, dst, seq)) <
-          e.corrupt_probability) {
+  if (payload_doubles > 0 && hit(e.corrupt_probability, kSaltCorrupt)) {
     d.corrupt = true;
     d.corrupt_index = static_cast<std::size_t>(
-        draw(seed, kSaltCorrupt, epoch, src, dst, seq, /*lane=*/1) %
-        static_cast<std::uint64_t>(payload_doubles));
-    d.corrupt_bit = static_cast<int>(
-        draw(seed, kSaltCorrupt, epoch, src, dst, seq, /*lane=*/2) % 64);
+        draw(kSaltCorrupt, 1) % static_cast<std::uint64_t>(payload_doubles));
+    d.corrupt_bit = static_cast<int>(draw(kSaltCorrupt, 2) % 64);
   }
-  if (payload_doubles > 0 && e.truncate_probability > 0.0 &&
-      unit(draw(seed, kSaltTruncate, epoch, src, dst, seq)) <
-          e.truncate_probability) {
+  if (payload_doubles > 0 && hit(e.truncate_probability, kSaltTruncate)) {
     d.truncate = true;
     d.truncate_len = static_cast<std::size_t>(
-        draw(seed, kSaltTruncate, epoch, src, dst, seq, /*lane=*/1) %
-        static_cast<std::uint64_t>(payload_doubles));
+        draw(kSaltTruncate, 1) % static_cast<std::uint64_t>(payload_doubles));
     d.corrupt = false;  // truncation supersedes the bit flip
   }
   return d;

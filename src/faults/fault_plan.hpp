@@ -12,14 +12,16 @@
 /// rank count yields a FaultSchedule, which the Runtime consults at fence
 /// time (Runtime::set_fault_schedule).
 ///
-/// Determinism contract: every draw is a *stateless* SplitMix64-style hash
-/// of (seed, fault-type salt, epoch, src, dst, seq). Because a message's
+/// Determinism contract: every draw is a *stateless* keyed hash
+/// (util::keyed_draw) of (seed, fault-type salt, epoch, src, dst, seq).
+/// Because a message's
 /// (epoch, src, dst, seq) key is assigned identically whichever execution
 /// backend staged it (seq is the source's monotonic send counter), the
 /// same plan produces bit-identical faults — and therefore bit-identical
 /// runs — on the sequential and multithreaded backends, and the draws are
-/// independent of the DeliveryModel's own RNG stream, so the two compose
-/// without perturbing each other.
+/// independent of the runtime's delivery-delay and latency draws (distinct
+/// salts over the same key), so the two compose without perturbing each
+/// other.
 
 #include <cstddef>
 #include <cstdint>

@@ -54,7 +54,7 @@ enum class PhaseId : int {
   kEncode,          ///< wire-record encode + channel staging loops (per-rank lane)
   kStage,           ///< Runtime::stage payload handoff (per-rank lane)
   kFence,           ///< Runtime::fence merge + maturation (runtime lane)
-  kDeliveryPolicy,  ///< event-driven latency draws + clamping (nested in fence)
+  kDeliveryPolicy,  ///< async fabric-clock draws + clamping (nested in fence)
   kNodePrepass,     ///< node-aware hop pre-pass (nested in fence)
   kAnalysis,        ///< trace analysis (dsouth::analysis, runtime lane)
 };

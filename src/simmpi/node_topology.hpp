@@ -19,8 +19,8 @@
 /// carries no information (every message is inter-node, no aggregation is
 /// possible), and the runtime treats it exactly like no topology at all,
 /// which is what keeps flat-topology runs byte-identical to topology-free
-/// ones (the same degeneracy contract as staleness-0 EventDriven delivery,
-/// simmpi/delivery.hpp).
+/// ones (the same degeneracy contract as a staleness-0 simmpi::AsyncWindow,
+/// simmpi/runtime.hpp).
 
 #include <cstdint>
 #include <vector>

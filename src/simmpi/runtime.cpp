@@ -5,14 +5,49 @@
 
 #include "faults/fault_plan.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace dsouth::simmpi {
 
-Runtime::Runtime(int num_ranks, MachineModel model, DeliveryModel delivery)
+namespace {
+
+// Salts of the fabric clock's keyed draws, distinct from every fault salt
+// (src/faults/fault_plan.cpp) so the draws are mutually independent.
+constexpr std::uint64_t kSaltDelay = 0xDE1AULL;
+constexpr std::uint64_t kSaltLatency = 0x1A7EULL;
+
+}  // namespace
+
+std::uint64_t fabric_deliver_epoch(const DeliveryModel& delivery,
+                                   const AsyncWindow& async,
+                                   std::uint64_t epoch, int src, int dst,
+                                   std::uint64_t seq) {
+  const auto draw = [&](std::uint64_t seed, std::uint64_t salt,
+                        std::uint64_t lane) {
+    return util::keyed_draw(seed, salt, epoch, src, dst, seq, lane);
+  };
+  std::uint64_t deliver = epoch;
+  if (delivery.delay_probability > 0.0 &&
+      util::unit_interval(draw(delivery.seed, kSaltDelay, 0)) <
+          delivery.delay_probability) {
+    deliver += 1 + draw(delivery.seed, kSaltDelay, 1) %
+                       static_cast<std::uint64_t>(delivery.max_delay_epochs);
+  }
+  if (async.max_staleness > 0) {
+    const auto lo = static_cast<std::uint64_t>(async.min_latency_epochs);
+    const auto hi = static_cast<std::uint64_t>(async.max_latency_epochs);
+    deliver += lo + draw(async.seed, kSaltLatency, 0) % (hi - lo + 1);
+    deliver = std::min(deliver, epoch + async.max_staleness);
+  }
+  return deliver;
+}
+
+Runtime::Runtime(int num_ranks, MachineModel model, DeliveryModel delivery,
+                 AsyncWindow async)
     : num_ranks_(num_ranks),
       model_(model),
       delivery_(delivery),
-      delivery_state_(delivery.seed),
+      async_(async),
       stats_(num_ranks),
       windows_(static_cast<std::size_t>(num_ranks)),
       lanes_(static_cast<std::size_t>(num_ranks)),
@@ -29,6 +64,10 @@ Runtime::Runtime(int num_ranks, MachineModel model, DeliveryModel delivery)
       epoch_msgs_inter_(static_cast<std::size_t>(num_ranks), 0),
       epoch_bytes_inter_(static_cast<std::size_t>(num_ranks), 0) {
   DSOUTH_CHECK(num_ranks > 0);
+  DSOUTH_CHECK(delivery.delay_probability == 0.0 ||
+               delivery.max_delay_epochs >= 1);
+  DSOUTH_CHECK(0 <= async.min_latency_epochs &&
+               async.min_latency_epochs <= async.max_latency_epochs);
 }
 
 void Runtime::set_tracer(trace::Tracer* tracer) {
@@ -100,9 +139,9 @@ RuntimeState Runtime::capture_state() const {
   st.epochs = epochs_;
   st.model_time = model_time_;
   st.last_epoch_seconds = last_epoch_seconds_;
-  st.delivery_state = delivery_state_;
   st.arrival_counter = arrival_counter_;
   st.lane_seq = lane_seq_;
+  st.pending_flops = epoch_flops_;
   st.stats = stats_;
   for (int d = 0; d < num_ranks_; ++d) {
     for (const Message& msg : windows_[static_cast<std::size_t>(d)]) {
@@ -121,6 +160,8 @@ RuntimeState Runtime::capture_state() const {
 void Runtime::restore_state(const RuntimeState& st) {
   DSOUTH_CHECK(st.stats.num_ranks() == num_ranks_);
   DSOUTH_CHECK(st.lane_seq.size() == static_cast<std::size_t>(num_ranks_));
+  DSOUTH_CHECK(st.pending_flops.size() ==
+               static_cast<std::size_t>(num_ranks_));
   for (const auto& lane : lanes_) {
     DSOUTH_CHECK_MSG(lane.empty(),
                      "restore_state requires empty staging lanes");
@@ -128,10 +169,17 @@ void Runtime::restore_state(const RuntimeState& st) {
   epochs_ = st.epochs;
   model_time_ = st.model_time;
   last_epoch_seconds_ = st.last_epoch_seconds;
-  delivery_state_ = st.delivery_state;
   arrival_counter_ = st.arrival_counter;
   lane_seq_ = st.lane_seq;
   stats_ = st.stats;
+  // Re-report the pending flops rather than copying them, so an attached
+  // tracer records the compute events the next fence charges (the events
+  // of the captured run stayed in its own trace).
+  std::fill(epoch_flops_.begin(), epoch_flops_.end(), 0.0);
+  for (int r = 0; r < num_ranks_; ++r) {
+    const double flops = st.pending_flops[static_cast<std::size_t>(r)];
+    if (flops != 0.0) add_flops(r, flops);
+  }
   for (auto& win : windows_) win.clear();
   for (auto& held : deferred_) held.clear();
   for (const auto& wm : st.window_msgs) {
@@ -145,18 +193,6 @@ void Runtime::restore_state(const RuntimeState& st) {
         Deferred{inf.source, inf.tag, inf.seq, inf.staged_epoch,
                  inf.deliver_epoch, inf.arrival, inf.payload});
   }
-}
-
-void Runtime::set_delivery_policy(const DeliveryPolicy* policy) {
-  policy_ = policy ? policy : &bulk_synchronous_policy();
-  // max_staleness == 0 means no message may outlive its staging epoch —
-  // which is exactly the bulk-synchronous contract. The policy degenerates
-  // and the runtime treats it as BSP outright (no deliver events, no async
-  // metrics), so a staleness-0 EventDriven run is byte-identical to one
-  // under BulkSynchronousPolicy.
-  async_ = policy_->kind() == DeliveryPolicyKind::kEventDriven &&
-           policy_->max_staleness() > 0;
-  refresh_async_metrics();
 }
 
 void Runtime::set_node_topology(const NodeTopology* topo,
@@ -222,7 +258,7 @@ void Runtime::refresh_node_metrics() {
 }
 
 void Runtime::refresh_async_metrics() {
-  if (!tracer_ || !async_) {
+  if (!tracer_ || !async_delivery()) {
     m_async_delivered_ = trace::kInvalidMetric;
     m_async_staleness_sum_ = trace::kInvalidMetric;
     m_async_staleness_max_ = trace::kInvalidMetric;
@@ -287,8 +323,8 @@ std::span<double> Runtime::stage(int source, int dest, MsgTag tag,
   const prof::ScopedPhase prof_stage(prof_, source, prof::PhaseId::kStage);
   // Everything below is indexed by `source`: concurrent stages from
   // distinct sources touch disjoint state (including the source's own
-  // buffer pool). Stats and delay draws are deferred to the fence so
-  // their order does not depend on thread scheduling.
+  // buffer pool). Stats, fault decisions and delivery epochs are deferred
+  // to the fence so their order does not depend on thread scheduling.
   const auto us = static_cast<std::size_t>(source);
   lanes_[us].push_back(Staged{dest, tag, lane_seq_[us]++, logical_records,
                               stage_pools_[us].acquire(doubles)});
@@ -375,7 +411,7 @@ void Runtime::node_prepass() {
       } else if (faults_) {
         // decide() is a stateless hash of (epoch, src, dst, seq), so this
         // pre-pass draw is identical to the one the delivery merge makes
-        // later and consumes no RNG stream.
+        // later.
         dropped = faults_->decide(closed_epoch, s, m.dest, m.seq,
                                   m.payload.size())
                       .drop;
@@ -542,20 +578,15 @@ void Runtime::fence() {
 
   // Per-message accounting, merged from the per-source staging lanes in
   // (source, send-order) order — exactly the chronological put order of a
-  // sequential rank sweep, so stats accumulation and the delivery-delay
-  // RNG consume in the same order regardless of which backend (or test)
-  // staged the puts. The fence runs on a single thread after the backend
+  // sequential rank sweep, so stats accumulate in the same order
+  // regardless of which backend (or test) staged the puts. Fault decisions
+  // and delivery epochs are keyed draws and depend on no order at all.
+  // The fence runs on a single thread after the backend
   // joins the epoch, so it may touch every rank's pools: each payload is
   // copied from its source's staging buffer into a buffer from the
   // DEST's window pool and the staging buffer returns to its source —
   // both pools stay closed per-rank loops, which is what keeps
   // steady-state traffic allocation-free.
-  auto next_u64 = [this] {
-    std::uint64_t z = (delivery_state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  };
   for (int s = 0; s < num_ranks_; ++s) {
     auto& lane = lanes_[static_cast<std::size_t>(s)];
     for (auto& m : lane) {
@@ -565,8 +596,8 @@ void Runtime::fence() {
                      faults_->dead(m.dest, closed_epoch))) {
         // Permanent rank failure: traffic from or to a dead rank is
         // swallowed at the fence — the sender paid for the put
-        // (record_send above), no other fault draw applies, and the
-        // delivery RNG is not consumed, exactly like a fault drop.
+        // (record_send above) and no other fault draw applies, exactly
+        // like a fault drop.
         stats_.record_dead_drop(s);
         record_fault(s, m.dest, /*action=*/6, m.seq, 0.0);
         if (tracer_) tracer_->metrics().add(m_faults_killed_, s, 1.0);
@@ -581,10 +612,9 @@ void Runtime::fence() {
       }
       if (fd.drop) {
         // Dropped before the fabric: the sender still paid for the put
-        // (record_send above, machine-model bytes), but the delivery-delay
-        // RNG is NOT consumed — the drop decision replaces the delivery
-        // path entirely, and skipping the draw here keeps the fault hash
-        // draws and the delay stream mutually independent.
+        // (record_send above, machine-model bytes), but the message never
+        // reaches the fabric clock. Later messages' delivery epochs are
+        // keyed draws, so the drop shifts none of them.
         stats_.record_drop(s);
         record_fault(s, m.dest, /*action=*/0, m.seq, 0.0);
         if (tracer_) tracer_->metrics().add(m_faults_dropped_, s, 1.0);
@@ -592,29 +622,15 @@ void Runtime::fence() {
             std::move(m.payload));
         continue;
       }
-      std::uint64_t deliver_epoch = closed_epoch;  // matures at this fence
-      if (delivery_.delay_probability > 0.0) {
-        const double u = static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-        if (u < delivery_.delay_probability) {
-          const auto extra = 1 + static_cast<std::uint64_t>(
-                                     next_u64() %
-                                     static_cast<std::uint64_t>(
-                                         delivery_.max_delay_epochs));
-          deliver_epoch = closed_epoch + extra;
-        }
-      }
-      if (async_) {
-        // EventDriven fabric latency: a stateless per-message draw, clamped
-        // together with any legacy DeliveryModel delay so the *non-fault*
-        // delivery time never exceeds the policy's staleness bound. Fault
-        // reordering/stalls below compose on top and may exceed it — a
-        // fault is allowed to be worse than the fabric model.
-        const prof::ScopedPhase prof_draw(prof_, num_ranks_,
+      std::uint64_t deliver_epoch;
+      {
+        // The host span times async runs' draws only: bulk-synchronous
+        // fences record no kDeliveryPolicy span.
+        const prof::ScopedPhase prof_draw(async_delivery() ? prof_ : nullptr,
+                                          num_ranks_,
                                           prof::PhaseId::kDeliveryPolicy);
-        deliver_epoch += policy_->extra_latency(closed_epoch, s, m.dest,
-                                                m.seq);
-        deliver_epoch = std::min(deliver_epoch,
-                                 closed_epoch + policy_->max_staleness());
+        deliver_epoch = fabric_deliver_epoch(delivery_, async_, closed_epoch,
+                                             s, m.dest, m.seq);
       }
       if (fd.reorder_extra > 0) {
         deliver_epoch += static_cast<std::uint64_t>(fd.reorder_extra);
@@ -734,7 +750,7 @@ void Runtime::fence() {
               });
     auto& win = windows_[i];
     for (auto& d : ready) {
-      if (async_) {
+      if (async_delivery()) {
         // Staleness = epochs between staging and this delivering fence
         // (which closed `closed_epoch`). 0 for same-fence delivery.
         const std::uint64_t staleness = closed_epoch - d.staged_epoch;

@@ -20,12 +20,15 @@
 /// rank opens and closes the same access epochs), so this superstep
 /// semantics is exact, and it makes every experiment bit-reproducible.
 ///
-/// *When* a staged put becomes visible is decided by a pluggable
-/// DeliveryPolicy (delivery.hpp): the default BulkSynchronousPolicy
-/// delivers at the closing fence exactly as above, while EventDrivenPolicy
-/// matures messages on a deterministic virtual clock with bounded
-/// staleness — the asynchronous regime the paper's deadlock discussion is
-/// about. Either way delivery stays bit-reproducible across backends.
+/// *When* a staged put becomes visible is decided by one fabric clock,
+/// configured once at construction (DESIGN.md §12): by default every put
+/// lands at the fence closing its epoch, exactly as above; a DeliveryModel
+/// adds random late delivery and an AsyncWindow matures messages on a
+/// deterministic virtual clock with bounded staleness — the asynchronous
+/// regime the paper's deadlock discussion is about. Either way each
+/// message's delivery epoch is one pure function of the configuration and
+/// the message's (epoch, src, dst, seq) key (fabric_deliver_epoch), so
+/// delivery stays bit-reproducible across backends.
 ///
 /// Concurrency contract (the ExecutionBackend discipline, execution.hpp):
 /// within an epoch, at most one thread drives a given rank, and every call
@@ -36,9 +39,8 @@
 /// threads. fence() is called by exactly one thread after the epoch's rank
 /// programs have completed (the backend joins them); it merges the staging
 /// lanes in (source, send-order) order — identical to the chronological
-/// put order of a sequential rank sweep — so delivery order, delivery-delay
-/// draws, CommStats, and modeled time are bit-identical whichever backend
-/// staged the puts.
+/// put order of a sequential rank sweep — so delivery order, CommStats, and
+/// modeled time are bit-identical whichever backend staged the puts.
 
 #include <algorithm>
 #include <array>
@@ -47,7 +49,6 @@
 #include <vector>
 
 #include "prof/prof.hpp"
-#include "simmpi/delivery.hpp"
 #include "simmpi/machine_model.hpp"
 #include "simmpi/node_topology.hpp"
 #include "simmpi/stats.hpp"
@@ -67,16 +68,49 @@ struct Message {
 };
 
 /// Optional weak-delivery model: each put is, with `delay_probability`,
-/// deferred by 1..max_delay_epochs extra fences (deterministic given the
-/// seed). Models an asynchronous/congested fabric where one-sided writes
-/// land late; note same-source messages may then be *observed out of
-/// order* — exactly the staleness regime the paper's deadlock discussion
-/// is about. Default: no delays (faithful bulk-synchronous epochs).
+/// deferred by 1..max_delay_epochs extra fences. Both draws are keyed by
+/// the message (`seed` keys them; see fabric_deliver_epoch), so one
+/// message's delay never depends on any other message. Models an
+/// asynchronous/congested fabric where one-sided writes land late; note
+/// same-source messages may then be *observed out of order* — exactly the
+/// staleness regime the paper's deadlock discussion is about. Default: no
+/// delays (faithful bulk-synchronous epochs).
 struct DeliveryModel {
   double delay_probability = 0.0;
   int max_delay_epochs = 2;
   std::uint64_t seed = 0xDE1A7ULL;
 };
+
+/// Event-driven (asynchronous) fabric latency: each message matures after
+/// a uniform draw of min..max extra epochs, keyed by `seed` and the
+/// message, and never more than `max_staleness` epochs after it was staged
+/// — the bounded-staleness regime of Hong's D-iteration and the Zou &
+/// Magoulès survey (PAPERS.md). The bound also caps any DeliveryModel
+/// delay; fault reordering and stalls compose on top and may exceed it (a
+/// fault is allowed to be worse than the fabric model).
+///
+/// max_staleness == 0 — the default — is the bulk-synchronous fence: no
+/// message may outlive its staging epoch, the window draws nothing, the
+/// runtime reports async_delivery() false, solvers keep their fenced
+/// stepping, and no deliver events or async metrics are recorded.
+struct AsyncWindow {
+  std::uint64_t seed = 0;
+  /// Latency draw bounds (epochs), inclusive: 0 <= min <= max.
+  int min_latency_epochs = 0;
+  int max_latency_epochs = 0;
+  std::uint64_t max_staleness = 0;
+};
+
+/// The fabric clock: the epoch whose closing fence delivers the message
+/// that `src` staged in `epoch` as its `seq`-th put to `dst`. A pure
+/// function of the configuration and the key: it starts at `epoch`, adds
+/// the DeliveryModel delay (if drawn) and, under an async window, the
+/// latency draw, then clamps the sum to epoch + max_staleness. Messages
+/// sharing a key (a fault duplicate) share their delivery epoch.
+std::uint64_t fabric_deliver_epoch(const DeliveryModel& delivery,
+                                   const AsyncWindow& async,
+                                   std::uint64_t epoch, int src, int dst,
+                                   std::uint64_t seq);
 
 /// Options accompanying a NodeTopology attachment (set_node_topology).
 struct NodeRoutingOptions {
@@ -108,9 +142,11 @@ struct RuntimeState {
   std::uint64_t epochs = 0;
   double model_time = 0.0;
   double last_epoch_seconds = 0.0;
-  std::uint64_t delivery_state = 0;   ///< delay-draw SplitMix64 cursor
   std::uint64_t arrival_counter = 0;  ///< Deferred::arrival source
   std::vector<std::uint64_t> lane_seq;  ///< per-source send counters
+  /// Per-rank flops reported since the last fence, which the next fence
+  /// charges: absorbs that run after a step's closing fence land here.
+  std::vector<double> pending_flops;
   CommStats stats;                      ///< full counter snapshot
 
   /// A message sitting delivered-but-unconsumed in a window.
@@ -138,8 +174,11 @@ struct RuntimeState {
 
 class Runtime {
  public:
+  /// The fabric clock is fixed here for the runtime's lifetime: no
+  /// delays and no async window (the defaults) is the bulk-synchronous
+  /// fence.
   explicit Runtime(int num_ranks, MachineModel model = {},
-                   DeliveryModel delivery = {});
+                   DeliveryModel delivery = {}, AsyncWindow async = {});
 
   int num_ranks() const { return num_ranks_; }
   const MachineModel& model() const { return model_; }
@@ -160,8 +199,8 @@ class Runtime {
   /// One-sided put: stage `payload` for delivery into `dest`'s window at
   /// the next fence. Counts as exactly one message from `source`. Staged
   /// into `source`'s private lane; safe to call concurrently from distinct
-  /// sources. Per-message accounting (stats, delivery-delay draws) happens
-  /// at the fence, in (source, send-order) order.
+  /// sources. Per-message accounting (stats, fault decisions, delivery
+  /// epochs) happens at the fence, in (source, send-order) order.
   /// Implemented as stage() + copy; callers that can encode in place
   /// should use stage() directly and skip the copy.
   void put(int source, int dest, MsgTag tag, std::span<const double> payload);
@@ -197,8 +236,9 @@ class Runtime {
 
   std::uint64_t epochs_completed() const { return epochs_; }
 
-  /// Messages currently held back — by the delivery model's delay draws
-  /// or by fault-injection reordering/stalls — awaiting a later fence.
+  /// Messages currently held back — by the fabric clock's delay or latency
+  /// draws or by fault-injection reordering/stalls — awaiting a later
+  /// fence.
   std::uint64_t delayed_in_flight() const {
     std::uint64_t n = 0;
     for (const auto& held : deferred_) n += held.size();
@@ -208,7 +248,7 @@ class Runtime {
   /// Run extra empty fences until every staged or deferred message has
   /// landed in its destination window. Semantics:
   ///   - puts staged since the last fence are fenced first (an implicit
-  ///     epoch close), then fences repeat while the delivery model or the
+  ///     epoch close), then fences repeat while the fabric clock or the
   ///     fault schedule still holds messages in flight;
   ///   - windows are NOT consumed — drained messages stay visible until
   ///     the ranks call consume(), exactly as after a normal fence;
@@ -268,9 +308,9 @@ class Runtime {
   /// per-rank epoch cost. Call before the first epoch, like set_tracer.
   ///
   /// Composition and determinism: fault draws are stateless hashes of
-  /// (epoch, src, dst, seq), so they neither consume nor perturb the
-  /// DeliveryModel's RNG stream, and runs are bit-identical across
-  /// execution backends. With no schedule attached (the default) every
+  /// (epoch, src, dst, seq) under their own salts, independent of the
+  /// fabric clock's draws, and runs are bit-identical across execution
+  /// backends. With no schedule attached (the default) every
   /// hook is an inlined null test and behaviour is byte-identical to a
   /// build that never heard of fault injection. When both a tracer and a
   /// schedule are attached (either order), the runtime registers the
@@ -291,37 +331,26 @@ class Runtime {
   bool rank_dead(int rank) const;
 
   /// Capture the complete deterministic runtime state (epoch/model-time
-  /// cursors, RNG state, send counters, CommStats, unconsumed windows,
-  /// in-flight deferred messages) for an elastic checkpoint. Must be
-  /// called between epochs (checked: staging lanes empty).
+  /// cursors, send counters, pending flops, CommStats, unconsumed windows,
+  /// in-flight deferred messages) for an elastic checkpoint. Must be called between
+  /// epochs (checked: staging lanes empty). The fabric clock is stateless
+  /// and fixed at construction, so nothing of it is captured.
   RuntimeState capture_state() const;
 
   /// Restore a previously captured state. The runtime must have the same
   /// rank count and empty staging lanes; windows and deferred queues are
-  /// replaced wholesale. Continuing after a same-layout restore is
-  /// byte-identical to never having snapshotted (tests/test_elastic.cpp).
+  /// replaced wholesale, and the pending flops are re-reported through
+  /// add_flops (so an attached tracer sees them). Continuing after a
+  /// same-layout restore is byte-identical to never having snapshotted
+  /// (tests/test_elastic.cpp).
   void restore_state(const RuntimeState& state);
 
-  /// Attach a delivery policy (simmpi/delivery.hpp). Not owned; must
-  /// outlive the runtime. Defaults to the shared BulkSynchronousPolicy,
-  /// under which behaviour is byte-identical to the pre-policy runtime.
-  /// Call before the first epoch, like set_tracer: switching policies
-  /// mid-run would mix delivery semantics within one trace.
-  ///
-  /// Under an EventDriven policy each message's delivery fence is pushed
-  /// back by the policy's stateless latency draw, clamped so no message
-  /// lands more than max_staleness() epochs after it was staged; the
-  /// runtime then counts deliveries and staleness in CommStats, and — when
-  /// a tracer is also attached — registers the "simmpi.async_*" metrics
-  /// and emits kDeliver trace events into destination lanes.
-  void set_delivery_policy(const DeliveryPolicy* policy);
-
-  /// The attached policy (never null — BulkSynchronous by default).
-  const DeliveryPolicy& delivery_policy() const { return *policy_; }
-
-  /// True when the attached policy is EventDriven — the solvers' cue to
-  /// switch to single-epoch relax-on-arrival stepping.
-  bool async_delivery() const { return async_; }
+  /// True when the runtime has an async window (max_staleness > 0) — the
+  /// solvers' cue to switch to single-epoch relax-on-arrival stepping.
+  /// Fixed at construction. Deliveries are then counted with their
+  /// staleness in CommStats and, when a tracer is attached, in the
+  /// "simmpi.async_*" metrics and kDeliver trace events.
+  bool async_delivery() const { return async_.max_staleness > 0; }
 
   /// Attach a two-level node topology (node_topology.hpp,
   /// docs/communication.md). Not owned; must outlive the runtime (or be
@@ -360,7 +389,7 @@ class Runtime {
   /// equivalent to detaching: there is no intra-node tier to model, the
   /// runtime takes the legacy path outright, and results stay
   /// byte-identical to a build that never heard of topologies — the same
-  /// degeneracy contract the staleness-0 EventDriven policy follows.
+  /// degeneracy contract a staleness-0 async window follows.
   void set_node_topology(const NodeTopology* topo,
                          NodeRoutingOptions opts = {});
 
@@ -452,7 +481,7 @@ class Runtime {
     std::uint64_t records;  // logical wire records carried (1 unless framed)
     std::vector<double> payload;  // from the source's stage pool
   };
-  /// A message held back by the delivery model, keyed for the
+  /// A message held back by the fabric clock or a fault, keyed for the
   /// deterministic (source, send-order) delivery sort.
   struct Deferred {
     int source;
@@ -476,10 +505,9 @@ class Runtime {
   /// not matter.
   void refresh_fault_metrics();
 
-  /// Same pattern for the "simmpi.async_*" metrics: registered only when
-  /// both a tracer and an EventDriven policy are attached, so
-  /// bulk-synchronous traces carry no async metrics and stay
-  /// byte-identical to pre-async builds.
+  /// Same pattern for the "simmpi.async_*" metrics: registered only when a
+  /// tracer is attached to an async runtime, so bulk-synchronous traces
+  /// carry no async metrics and stay byte-identical to pre-async builds.
   void refresh_async_metrics();
 
   /// Same pattern for the "simmpi.node_*" metrics: registered only when
@@ -493,13 +521,14 @@ class Runtime {
   /// deterministic order the delivery merge uses — classifying every put
   /// into physical hops, filling the per-rank tier accumulators, and
   /// recording kHop events / CommStats / metrics. Runs before the model
-  /// is charged and consumes nothing: lanes, payloads, and RNG streams
-  /// are left exactly as the delivery merge expects them.
+  /// is charged and consumes nothing: lanes and payloads are left exactly
+  /// as the delivery merge expects them.
   void node_prepass();
 
   int num_ranks_;
   MachineModel model_;
   DeliveryModel delivery_;
+  AsyncWindow async_;
   trace::Tracer* tracer_ = nullptr;
   prof::Profiler* prof_ = nullptr;
   // Runtime-owned metric ids (kInvalidMetric while untraced).
@@ -524,8 +553,8 @@ class Runtime {
   // Registered only when the schedule also configures permanent kills, so
   // message-fault-only traces stay byte-identical to pre-elastic builds.
   trace::MetricId m_faults_killed_ = trace::kInvalidMetric;
-  // Asynchronous-delivery counters, registered only when BOTH a tracer
-  // and an EventDriven policy are attached (see refresh_async_metrics).
+  // Asynchronous-delivery counters, registered only when a tracer is
+  // attached to an async runtime (see refresh_async_metrics).
   trace::MetricId m_async_delivered_ = trace::kInvalidMetric;
   trace::MetricId m_async_staleness_sum_ = trace::kInvalidMetric;
   trace::MetricId m_async_staleness_max_ = trace::kInvalidMetric;
@@ -541,12 +570,6 @@ class Runtime {
   // Cached faults_->any_kills() so kill-free fences never touch the
   // schedule's kill table (set_fault_schedule refreshes it).
   bool kills_ = false;
-  // Delivery policy (never null; BulkSynchronous by default). `async_`
-  // caches kind() == kEventDriven so the fence's hot loop branches on a
-  // bool, not a virtual call.
-  const DeliveryPolicy* policy_ = &bulk_synchronous_policy();
-  bool async_ = false;
-  std::uint64_t delivery_state_;  // SplitMix64 state for delay draws
   CommStats stats_;
   // Per-source pending tenant attributions (batched serving): slot
   // [s * num_tenants_ + t] accumulates what source s staged for tenant t

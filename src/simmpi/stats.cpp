@@ -4,9 +4,7 @@
 
 namespace dsouth::simmpi {
 
-CommStats::CommStats(int num_ranks)
-    : num_ranks_(num_ranks),
-      msgs_per_rank_(static_cast<std::size_t>(num_ranks), 0) {
+CommStats::CommStats(int num_ranks) : num_ranks_(num_ranks) {
   DSOUTH_CHECK(num_ranks > 0);
 }
 
@@ -19,7 +17,6 @@ void CommStats::record_send(int source, MsgTag tag, std::uint64_t bytes,
   ++msgs_by_tag_[t];
   logical_by_tag_[t] += logical;
   bytes_by_tag_[t] += bytes;
-  ++msgs_per_rank_[static_cast<std::size_t>(source)];
 }
 
 void CommStats::bump_fault(int source, std::uint64_t& counter) {
@@ -104,7 +101,6 @@ void CommStats::save(std::vector<std::uint64_t>& out) const {
   out.push_back(bytes_inter_);
   out.push_back(forward_frames_);
   out.push_back(forwarded_records_);
-  for (auto v : msgs_per_rank_) out.push_back(v);
   for (auto v : tenant_records_) out.push_back(v);
   for (auto v : tenant_doubles_) out.push_back(v);
 }
@@ -115,9 +111,10 @@ void CommStats::load(std::span<const std::uint64_t> in) {
       in[0] == static_cast<std::uint64_t>(num_ranks_),
       "CommStats stream: rank count mismatch (stream " << in[0] << ", this "
                                                        << num_ranks_ << ")");
+  // Bound the tenant count by the stream before sizing anything from it.
   const auto tenants = static_cast<std::size_t>(in[1]);
   DSOUTH_CHECK_MSG(
-      in.size() == saved_words(num_ranks_, tenants),
+      tenants <= in.size() && in.size() == saved_words(tenants),
       "CommStats stream: bad length " << in.size() << " for " << num_ranks_
                                       << " ranks, " << tenants << " tenants");
   std::size_t k = 2;
@@ -137,7 +134,6 @@ void CommStats::load(std::span<const std::uint64_t> in) {
   bytes_inter_ = in[k++];
   forward_frames_ = in[k++];
   forwarded_records_ = in[k++];
-  for (auto& v : msgs_per_rank_) v = in[k++];
   tenant_records_.assign(tenants, 0);
   tenant_doubles_.assign(tenants, 0);
   for (auto& v : tenant_records_) v = in[k++];
@@ -161,7 +157,6 @@ void CommStats::reset() {
   bytes_inter_ = 0;
   forward_frames_ = 0;
   forwarded_records_ = 0;
-  for (auto& m : msgs_per_rank_) m = 0;
   // Tenant slots keep their COUNT (the batch layout) but re-zero their
   // tallies — see configure_tenants.
   for (auto& t : tenant_records_) t = 0;

@@ -64,10 +64,10 @@ class CommStats {
   std::uint64_t corrupted_messages() const { return msgs_corrupted_; }
   std::uint64_t dead_dropped_messages() const { return msgs_dead_dropped_; }
 
-  /// Asynchronous-delivery accounting (simmpi/delivery.hpp), written by
-  /// the runtime at the delivering fence when an EventDriven policy is
-  /// attached. `staleness` is the number of epochs between staging and
-  /// delivery; under BulkSynchronous these counters are never touched and
+  /// Asynchronous-delivery accounting (simmpi::AsyncWindow), written by
+  /// the runtime at the delivering fence when the runtime is async.
+  /// `staleness` is the number of epochs between staging and delivery;
+  /// under bulk-synchronous delivery these counters are never touched and
   /// stay 0, like the fault counters above.
   void record_async_delivery(int dest, std::uint64_t staleness) {
     bump_fault(dest, msgs_async_delivered_);
@@ -159,9 +159,9 @@ class CommStats {
   /// shape mismatch.
   void load(std::span<const std::uint64_t> in);
 
-  /// Doubles save() appends for a given shape (codec sizing).
-  static std::size_t saved_words(int num_ranks, std::size_t num_tenants) {
-    return 24 + static_cast<std::size_t>(num_ranks) + 2 * num_tenants;
+  /// Words save() appends for `num_tenants` tenant slots (codec sizing).
+  static std::size_t saved_words(std::size_t num_tenants) {
+    return 24 + 2 * num_tenants;
   }
 
  private:
@@ -185,7 +185,6 @@ class CommStats {
   std::uint64_t bytes_inter_ = 0;
   std::uint64_t forward_frames_ = 0;
   std::uint64_t forwarded_records_ = 0;
-  std::vector<std::uint64_t> msgs_per_rank_;
   // Per-tenant tallies (batched serving only; empty otherwise).
   std::vector<std::uint64_t> tenant_records_, tenant_doubles_;
 };

@@ -81,7 +81,7 @@ void write_jsonl(std::ostream& out, const TraceLog& log,
   // 2 = adds "compute" events (flops charged via Runtime::add_flops) and
   // the "simmpi.flops" counter, consumed by the analysis layer;
   // 3 = adds "fault" events (fault injection, src/faults);
-  // 4 = adds "deliver" events (asynchronous delivery, simmpi/delivery.hpp);
+  // 4 = adds "deliver" events (asynchronous delivery, simmpi::AsyncWindow);
   // 5 = adds "hop" events (node-aware routing, simmpi/node_topology.hpp).
   // The header advertises the lowest version whose features the capture
   // actually uses, so traces of fault-free bulk-synchronous runs stay

@@ -31,8 +31,7 @@ std::uint64_t Rng::next_u64() {
 }
 
 double Rng::next_double() {
-  // 53 high-quality bits -> [0, 1).
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  return unit_interval(next_u64());
 }
 
 double Rng::uniform(double lo, double hi) {

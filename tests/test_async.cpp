@@ -1,11 +1,12 @@
-/// Tests for the pluggable delivery policies (src/simmpi/delivery.hpp) and
-/// epochless asynchronous execution: EventDriven latency draws are
-/// stateless and seed-dependent, the runtime matures messages on the
-/// virtual clock and enforces the staleness bound, a staleness-0 policy
-/// reduces byte-identically to BulkSynchronous, async runs are
-/// bit-identical across execution backends (traces included), deliver
-/// events agree with the simmpi.async_* metrics, every solver converges
-/// relax-on-arrival, and asynchrony composes with fault injection.
+/// Tests for the runtime's fabric clock under an async window
+/// (simmpi::AsyncWindow, simmpi::fabric_deliver_epoch) and epochless
+/// asynchronous execution: latency draws are stateless and seed-dependent,
+/// the runtime matures messages on the virtual clock and enforces the
+/// staleness bound, a staleness-0 window reduces byte-identically to
+/// bulk-synchronous delivery, async runs are bit-identical across
+/// execution backends (traces included), deliver events agree with the
+/// simmpi.async_* metrics, every solver converges relax-on-arrival, and
+/// asynchrony composes with fault injection.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +17,6 @@
 #include "dist/driver.hpp"
 #include "faults/fault_plan.hpp"
 #include "graph/partition.hpp"
-#include "simmpi/delivery.hpp"
 #include "simmpi/runtime.hpp"
 #include "sparse/scaling.hpp"
 #include "sparse/stencils.hpp"
@@ -31,51 +31,62 @@ using sparse::index_t;
 using sparse::value_t;
 
 // ---------------------------------------------------------------------------
-// EventDrivenPolicy draw semantics.
+// Latency draw semantics of the pure fabric clock.
 
-TEST(DeliveryPolicy, LatencyDrawsAreStatelessBoundedAndSeedDependent) {
-  simmpi::EventDrivenOptions opt;
-  opt.min_latency_epochs = 1;
-  opt.max_latency_epochs = 4;
-  simmpi::EventDrivenPolicy p1(opt);
-  simmpi::EventDrivenPolicy p2(opt);
-  opt.seed ^= 1;
-  simmpi::EventDrivenPolicy p3(opt);
+/// Extra epochs the fabric clock adds to a message staged in `epoch`
+/// under `window` alone (no DeliveryModel delays).
+std::uint64_t latency(const simmpi::AsyncWindow& window, std::uint64_t epoch,
+                      int src, int dst, std::uint64_t seq) {
+  return simmpi::fabric_deliver_epoch(simmpi::DeliveryModel{}, window, epoch,
+                                      src, dst, seq) -
+         epoch;
+}
+
+simmpi::AsyncWindow window(int min_latency, int max_latency,
+                           std::uint64_t max_staleness) {
+  simmpi::AsyncWindow w;
+  w.seed = 0xA51CULL;
+  w.min_latency_epochs = min_latency;
+  w.max_latency_epochs = max_latency;
+  w.max_staleness = max_staleness;
+  return w;
+}
+
+TEST(FabricClock, LatencyDrawsAreStatelessBoundedAndSeedDependent) {
+  const simmpi::AsyncWindow w = window(1, 4, 16);
+  simmpi::AsyncWindow reseeded = w;
+  reseeded.seed ^= 1;
 
   bool seed_changed_something = false;
   for (std::uint64_t seq = 0; seq < 200; ++seq) {
-    const auto a = p1.extra_latency(7, 1, 2, seq);
+    const auto a = latency(w, 7, 1, 2, seq);
     EXPECT_GE(a, 1u);
     EXPECT_LE(a, 4u);
-    // Stateless: call order and instance independent.
-    EXPECT_EQ(a, p1.extra_latency(7, 1, 2, seq));
-    EXPECT_EQ(a, p2.extra_latency(7, 1, 2, seq));
-    if (a != p3.extra_latency(7, 1, 2, seq)) seed_changed_something = true;
+    // Stateless: a pure function of the window and the key.
+    EXPECT_EQ(a, latency(w, 7, 1, 2, seq));
+    if (a != latency(reseeded, 7, 1, 2, seq)) seed_changed_something = true;
   }
   EXPECT_TRUE(seed_changed_something);
 }
 
-TEST(DeliveryPolicy, DegenerateWindowIsConstant) {
-  simmpi::EventDrivenOptions opt;
-  opt.min_latency_epochs = 2;
-  opt.max_latency_epochs = 2;
-  simmpi::EventDrivenPolicy p(opt);
+TEST(FabricClock, DegenerateWindowIsConstant) {
+  const simmpi::AsyncWindow w = window(2, 2, 16);
   for (std::uint64_t seq = 0; seq < 50; ++seq) {
-    EXPECT_EQ(p.extra_latency(0, 0, 1, seq), 2u);
+    EXPECT_EQ(latency(w, 0, 0, 1, seq), 2u);
   }
 }
 
 // ---------------------------------------------------------------------------
 // Runtime maturation on the virtual clock.
 
+simmpi::Runtime async_runtime(const simmpi::AsyncWindow& w) {
+  return simmpi::Runtime(2, simmpi::MachineModel{}, simmpi::DeliveryModel{},
+                         w);
+}
+
 TEST(AsyncRuntime, MessagesMatureAfterTheirLatencyDraw) {
-  simmpi::EventDrivenOptions opt;
-  opt.min_latency_epochs = 2;
-  opt.max_latency_epochs = 2;  // deterministic: always +2 epochs
-  opt.max_staleness = 8;
-  simmpi::EventDrivenPolicy policy(opt);
-  simmpi::Runtime rt(2);
-  rt.set_delivery_policy(&policy);
+  // Deterministic: always +2 epochs.
+  simmpi::Runtime rt = async_runtime(window(2, 2, 8));
   EXPECT_TRUE(rt.async_delivery());
 
   rt.put(0, 1, simmpi::MsgTag::kSolve, std::vector<double>{1.0, 2.0});
@@ -94,13 +105,7 @@ TEST(AsyncRuntime, MessagesMatureAfterTheirLatencyDraw) {
 }
 
 TEST(AsyncRuntime, StalenessBoundClampsTheDraw) {
-  simmpi::EventDrivenOptions opt;
-  opt.min_latency_epochs = 10;
-  opt.max_latency_epochs = 10;
-  opt.max_staleness = 3;
-  simmpi::EventDrivenPolicy policy(opt);
-  simmpi::Runtime rt(2);
-  rt.set_delivery_policy(&policy);
+  simmpi::Runtime rt = async_runtime(window(10, 10, 3));
   rt.put(0, 1, simmpi::MsgTag::kSolve, std::vector<double>{1.0});
   for (int e = 0; e < 3; ++e) {
     rt.fence();
@@ -112,13 +117,8 @@ TEST(AsyncRuntime, StalenessBoundClampsTheDraw) {
 }
 
 TEST(AsyncRuntime, StalenessZeroDegeneratesToBulkSynchronous) {
-  simmpi::EventDrivenOptions opt;
-  opt.min_latency_epochs = 0;
-  opt.max_latency_epochs = 5;  // draws are irrelevant: the bound is 0
-  opt.max_staleness = 0;
-  simmpi::EventDrivenPolicy policy(opt);
-  simmpi::Runtime rt(2);
-  rt.set_delivery_policy(&policy);
+  // Draws are irrelevant: the bound is 0.
+  simmpi::Runtime rt = async_runtime(window(0, 5, 0));
   EXPECT_FALSE(rt.async_delivery());
   rt.put(0, 1, simmpi::MsgTag::kSolve, std::vector<double>{1.0});
   rt.fence();
@@ -127,13 +127,7 @@ TEST(AsyncRuntime, StalenessZeroDegeneratesToBulkSynchronous) {
 }
 
 TEST(AsyncRuntime, DrainDelayedFlushesMaturingTraffic) {
-  simmpi::EventDrivenOptions opt;
-  opt.min_latency_epochs = 3;
-  opt.max_latency_epochs = 3;
-  opt.max_staleness = 5;
-  simmpi::EventDrivenPolicy policy(opt);
-  simmpi::Runtime rt(2);
-  rt.set_delivery_policy(&policy);
+  simmpi::Runtime rt = async_runtime(window(3, 3, 5));
   rt.put(0, 1, simmpi::MsgTag::kSolve, std::vector<double>{4.0});
   rt.fence();
   EXPECT_EQ(rt.delayed_in_flight(), 1u);

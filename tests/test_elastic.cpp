@@ -217,13 +217,14 @@ TEST(CheckpointCodec, RejectsCorruptionTruncationAndBadHeaders) {
 // fresh stack over the SAME layout, run to completion — byte-identical to
 // the uninterrupted run, under every delivery/wire composition.
 
-void expect_restore_continuation_identical(const dist::DistRunOptions& opt,
-                                           simmpi::BackendKind backend) {
+/// Returns how many messages were in flight in the checkpoint.
+std::size_t expect_restore_continuation_identical(
+    const dist::DistRunOptions& opt, simmpi::BackendKind backend,
+    dist::DistMethod method = dist::DistMethod::kDistributedSouthwell) {
   auto p = make_problem(12, 4, 31);
   auto run_opt = opt;
   run_opt.backend = backend;
   dist::DistLayout layout(p.a, p.part);
-  const auto method = dist::DistMethod::kDistributedSouthwell;
 
   // Uninterrupted reference, with a checkpoint captured mid-flight
   // (capture is non-destructive — the run continues unperturbed).
@@ -253,6 +254,7 @@ void expect_restore_continuation_identical(const dist::DistRunOptions& opt,
             ref.runtime().epochs_completed());
   EXPECT_EQ(resumed.runtime().model_time_seconds(),
             ref.runtime().model_time_seconds());
+  return c.runtime.deferred.size();
 }
 
 TEST(RestoreContinuation, PlainBulkSynchronous) {
@@ -273,6 +275,25 @@ TEST(RestoreContinuation, WithAsyncDelivery) {
   opt.async = true;  // in-flight deferred messages ride the checkpoint
   expect_restore_continuation_identical(opt, simmpi::BackendKind::kSequential);
   expect_restore_continuation_identical(opt, simmpi::BackendKind::kThreadPool);
+}
+
+TEST(RestoreContinuation, WithDelayedDelivery) {
+  // Delivery delays are keyed draws: the checkpoint carries the delayed
+  // messages themselves and no draw state, and the resumed run draws
+  // exactly the delays the uninterrupted one did. Late solve updates are
+  // absorbed after a step's closing fence, so the checkpoint must also
+  // carry the flops those absorbs charge to the next epoch. Block Jacobi
+  // sends every step, so its checkpoint has messages in flight; DS under
+  // delays stalls (DelayRobustness) but must resume identically too.
+  dist::DistRunOptions opt;
+  opt.delivery.delay_probability = 0.5;
+  for (const auto backend :
+       {simmpi::BackendKind::kSequential, simmpi::BackendKind::kThreadPool}) {
+    EXPECT_GT(expect_restore_continuation_identical(
+                  opt, backend, dist::DistMethod::kBlockJacobi),
+              0u);
+    expect_restore_continuation_identical(opt, backend);
+  }
 }
 
 TEST(RestoreContinuation, WithNodeTopologyRouting) {
@@ -512,7 +533,7 @@ TEST(CommStatsAudit, ResetZeroesEveryCounterSincePr5) {
 
   std::vector<std::uint64_t> before;
   h.runtime().stats().save(before);
-  ASSERT_EQ(before.size(), simmpi::CommStats::saved_words(4, 0));
+  ASSERT_EQ(before.size(), simmpi::CommStats::saved_words(0));
   // The run exercised enough subsystems that many words moved.
   int nonzero = 0;
   for (std::size_t i = 2; i < before.size(); ++i) {

@@ -342,7 +342,7 @@ bool run_checks(const RunTrace& run, const RunAnalysis& a) {
           "corrupt+truncate fault events == simmpi.faults_corrupted");
   }
 
-  // Async-delivery cross-checks: under the EventDriven policy the runtime
+  // Async-delivery cross-checks: under an async window the runtime
   // records one version-4 deliver event per matured message and bumps the
   // simmpi.async_* metrics in the same place, so event tallies and metric
   // totals must agree exactly. Bulk-synchronous traces lack the counters
